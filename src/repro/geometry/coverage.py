@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["DiskSampler", "uncovered_fraction"]
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -24,8 +26,8 @@ class DiskSampler:
 
     Points follow the Fibonacci (sunflower) spiral: point *i* of *N* sits at
     radius ``sqrt((i + 0.5) / N)`` and angle ``i * golden_angle``.  The
-    lattice is precomputed once and reused for every coverage query, so a
-    query is ``O(N * k)`` with no allocation beyond the result.
+    lattice is precomputed once (also as x/y arrays) and reused for every
+    coverage query; a query is one ``N x k`` array computation.
     """
 
     def __init__(self, num_points: int = 256) -> None:
@@ -37,6 +39,8 @@ class DiskSampler:
             radius = math.sqrt((i + 0.5) / num_points)
             theta = i * _GOLDEN_ANGLE
             self._points.append((radius * math.cos(theta), radius * math.sin(theta)))
+        self._xs = np.array([px for px, _ in self._points])
+        self._ys = np.array([py for _, py in self._points])
 
     def points(
         self, center: Tuple[float, float], radius: float
@@ -55,25 +59,24 @@ class DiskSampler:
         """Fraction of the disk at ``center`` not covered by any covering disk.
 
         This is the location-scheme ``ac`` value: 1.0 when nothing covers the
-        host's disk, 0.0 when the heard transmitters jointly blanket it.
+        host's disk, 0.0 when the heard transmitters jointly blanket it.  A
+        sample point is covered when ``dx*dx + dy*dy <= covering_radius**2``
+        for some covering center, evaluated with the same IEEE operations,
+        in the same order, as a per-point Python loop would.
         """
-        centers = list(covering_centers)
-        if not centers:
+        centers = np.array(list(covering_centers), dtype=np.float64)
+        if not centers.size:
             return 1.0
         cx, cy = center
         rr = covering_radius * covering_radius
-        uncovered = 0
-        for px, py in self._points:
-            sx = cx + px * radius
-            sy = cy + py * radius
-            for qx, qy in centers:
-                dx = sx - qx
-                dy = sy - qy
-                if dx * dx + dy * dy <= rr:
-                    break
-            else:
-                uncovered += 1
-        return uncovered / self.num_points
+        # (points, centers) offsets from every sample point to every center.
+        dx = (cx + self._xs * radius)[:, None] - centers[:, 0]
+        dy = (cy + self._ys * radius)[:, None] - centers[:, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        covered = np.count_nonzero((dx <= rr).any(axis=1))
+        return (self.num_points - covered) / self.num_points
 
 
 _DEFAULT_SAMPLER = DiskSampler(256)

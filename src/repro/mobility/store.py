@@ -21,8 +21,11 @@ The batched evaluation is float-for-float the same arithmetic as
   one add, in numpy exactly as in CPython;
 - the reflective fold is only applied to out-of-bounds coordinates and is
   delegated to the *same* :func:`repro.mobility.map._fold` scalar code the
-  models use (numpy ``%`` has different semantics for negatives, so it is
-  deliberately not used);
+  models use.  Which rows can be out of bounds is known ahead: each synced
+  row records when its straight line comes within ``EXIT_MARGIN`` of the
+  map border, a margin nine orders of magnitude above the float error of
+  ``origin + velocity * dt``, so rows before that time are certainly
+  inside and only the rest get the exact bounds test;
 - segment rolls are delegated to the models themselves (``_roll_to``), so
   every RNG draw happens on the same per-host stream in the same per-host
   order as lazy scalar querying.  Batching *can* roll a host's segments at
@@ -70,7 +73,7 @@ class PositionBuffers:
     __slots__ = ("capacity", "_arrays")
 
     #: Per-store array fields, in allocation order.
-    FIELDS = ("ox", "oy", "vx", "vy", "t0", "t1", "x", "y")
+    FIELDS = ("ox", "oy", "vx", "vy", "t0", "t1", "exit", "x", "y")
 
     def __init__(self, capacity: int = 0) -> None:
         self.capacity = 0
@@ -101,10 +104,14 @@ class PositionStore:
 
     __slots__ = (
         "size", "_models", "_world_w", "_world_h",
-        "_ox", "_oy", "_vx", "_vy", "_t0", "_t1", "_x", "_y",
-        "_time", "_lazy_time",
+        "_ox", "_oy", "_vx", "_vy", "_t0", "_t1", "_exit", "_x", "_y",
+        "_next_roll", "_next_exit", "_time", "_lazy_time",
         "epoch_hits", "batch_evals", "lazy_reads", "segment_rolls",
     )
+
+    #: Distance (m) from the border at which a row's recorded exit time
+    #: falls (see the module docstring).
+    EXIT_MARGIN = 1e-3
 
     def __init__(
         self,
@@ -130,7 +137,7 @@ class PositionStore:
         self._world_h = world.height
         arrays = (buffers or PositionBuffers()).views(self.size)
         (self._ox, self._oy, self._vx, self._vy,
-         self._t0, self._t1, self._x, self._y) = arrays
+         self._t0, self._t1, self._exit, self._x, self._y) = arrays
         for i, model in enumerate(self._models):
             if isinstance(model, StaticMobility):
                 x, y = model.position(0.0)
@@ -140,10 +147,17 @@ class PositionStore:
                 self._vy[i] = 0.0
                 self._t0[i] = 0.0
                 self._t1[i] = np.inf
+                # Never folded: velocity 0 keeps the row at its (possibly
+                # off-map, in tests) fixed point, like StaticMobility.
+                self._exit[i] = np.inf
             else:
                 # Segment state is synced on first evaluation (the model
                 # has not started yet); -inf forces the initial roll.
                 self._t1[i] = -np.inf
+                self._exit[i] = -np.inf
+        #: Earliest segment end and earliest map exit over all rows.
+        self._next_roll = float(self._t1.min()) if self.size else np.inf
+        self._next_exit = float(self._exit.min()) if self.size else np.inf
         self._time = -1.0
         self._lazy_time = -1.0
         #: Queries served from the cached current-epoch arrays.
@@ -159,10 +173,24 @@ class PositionStore:
     # -------------------------------------------------------------- sync
 
     def _sync_row(self, i: int, model: "_SegmentedMobility") -> None:
-        self._ox[i], self._oy[i] = model._seg_origin
-        self._vx[i], self._vy[i] = model._velocity
-        self._t0[i] = model._seg_start_time
+        ox, oy = self._ox[i], self._oy[i] = model._seg_origin
+        vx, vy = self._vx[i], self._vy[i] = model._velocity
+        t0 = self._t0[i] = model._seg_start_time
         self._t1[i] = model._seg_end_time
+        self._exit[i] = t0 + min(
+            self._time_to_border(ox, vx, self._world_w),
+            self._time_to_border(oy, vy, self._world_h),
+        )
+
+    @classmethod
+    def _time_to_border(cls, origin: float, velocity: float, size: float) -> float:
+        """Seconds until ``origin + velocity * dt`` comes within
+        ``EXIT_MARGIN`` of ``[0, size]``'s border (negative if it already is)."""
+        if velocity > 0.0:
+            return (size - cls.EXIT_MARGIN - origin) / velocity
+        if velocity < 0.0:
+            return (origin - cls.EXIT_MARGIN) / -velocity
+        return np.inf
 
     # ----------------------------------------------------------- queries
 
@@ -181,19 +209,22 @@ class PositionStore:
                 f"t={self._time}"
             )
         self.batch_evals += 1
-        models = self._models
-        # Roll hosts whose current segment ended (or never started).  The
-        # model does the rolling -- same RNG stream, same draw order as the
-        # scalar kernel -- and the row is re-synced from its state.  A row
-        # can also be stale because the model was queried directly (lazy
-        # read); _roll_to is then a no-op and the sync still repairs it.
-        stale = np.nonzero(self._t1 < time)[0]
-        if stale.size:
+        if time > self._next_roll:
+            # Roll hosts whose current segment ended (or never started).
+            # The model does the rolling -- same RNG stream, same draw
+            # order as the scalar kernel -- and the row is re-synced from
+            # its state.  A row can also be stale because the model was
+            # queried directly (lazy read); _roll_to is then a no-op and
+            # the sync still repairs it.
+            models = self._models
+            stale = np.nonzero(self._t1 < time)[0]
             self.segment_rolls += int(stale.size)
             for i in stale.tolist():
                 model = models[i]
                 model._roll_to(time)
                 self._sync_row(i, model)
+            self._next_roll = float(self._t1.min())
+            self._next_exit = float(self._exit.min())
         # One multiply + one add per coordinate: exactly the scalar
         # kernel's ``origin + velocity * dt`` (IEEE addition commutes
         # bitwise, so ``vx * dt + ox`` == ``ox + vx * dt``).
@@ -204,20 +235,18 @@ class PositionStore:
         x += self._ox
         np.multiply(self._vy, dt, out=y)
         y += self._oy
-        # Reflective fold for the rare segment that exits the map between
-        # rolls; in-bounds coordinates are untouched (the scalar fast
-        # path's identity).  Static rows (t1 == +inf) never fold: velocity
-        # 0 keeps them at their (possibly off-map, in tests) fixed point,
-        # just like StaticMobility itself.
-        w = self._world_w
-        h = self._world_h
-        oob = (x < 0.0) | (x > w)
-        oob |= (y < 0.0) | (y > h)
-        oob &= np.isfinite(self._t1)
-        if oob.any():
-            for i in np.nonzero(oob)[0].tolist():
-                x[i] = _fold(float(x[i]), w)
-                y[i] = _fold(float(y[i]), h)
+        # Reflective fold for segments that left the map between rolls,
+        # tested only on rows past their exit time; in-bounds coordinates
+        # are untouched (the scalar fast path's identity).
+        if time > self._next_exit:
+            w = self._world_w
+            h = self._world_h
+            for i in np.nonzero(self._exit < time)[0].tolist():
+                xi = float(x[i])
+                yi = float(y[i])
+                if not (0.0 <= xi <= w and 0.0 <= yi <= h):
+                    x[i] = _fold(xi, w)
+                    y[i] = _fold(yi, h)
         self._time = time
         return x, y
 

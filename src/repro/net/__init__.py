@@ -5,8 +5,8 @@
   and HELLO packets (optionally carrying the sender's neighbor list for the
   neighbor-coverage scheme and its announced hello interval for DHI).
 - :mod:`repro.net.dupcache` -- the duplicate-broadcast detector.
-- :mod:`repro.net.neighbors` -- per-host neighbor tables built from HELLOs,
-  two-hop knowledge, neighborhood-variation tracking and the paper's
+- :mod:`repro.net.neighbors` -- the network's neighbor matrix built from
+  HELLOs (a per-host table view of each row), two-hop knowledge, neighborhood-variation tracking and the paper's
   dynamic hello interval formula.
 - :mod:`repro.net.host` -- the mobile host tying mobility, MAC, scheme and
   hello protocol together.
@@ -16,7 +16,7 @@
 
 from repro.net.dupcache import DuplicateCache
 from repro.net.host import HelloConfig, MobileHost
-from repro.net.neighbors import NeighborEntry, NeighborTable, dynamic_hello_interval
+from repro.net.neighbors import NeighborMatrix, NeighborTable, dynamic_hello_interval
 from repro.net.network import Network
 from repro.net.packets import BroadcastPacket, HelloPacket, PacketKey
 
@@ -26,7 +26,7 @@ __all__ = [
     "PacketKey",
     "DuplicateCache",
     "NeighborTable",
-    "NeighborEntry",
+    "NeighborMatrix",
     "dynamic_hello_interval",
     "MobileHost",
     "HelloConfig",

@@ -94,6 +94,8 @@ class MobileHost:
         oracle_neighbors: bool = False,
         trace: Optional[Any] = None,
         position_store: Optional[Any] = None,
+        *,
+        neighbor_table: NeighborTable,
     ) -> None:
         self.host_id = host_id
         self.scheduler = scheduler
@@ -119,9 +121,8 @@ class MobileHost:
         #: routing agent); unhandled unicast payloads raise.
         self.unicast_handler = None
         self.dup_cache = DuplicateCache()
-        self.neighbor_table = NeighborTable(
-            default_interval=self.hello_config.interval
-        )
+        #: This host's row of the network's neighbor matrix.
+        self.neighbor_table = neighbor_table
         self.mac = CsmaCaMac(
             host_id, scheduler, channel, params, mac_rng, self, trace=trace
         )
@@ -177,9 +178,7 @@ class MobileHost:
             self._hello_event.cancel()
             self._hello_event = None
         self._hello_started = False
-        self.neighbor_table = NeighborTable(
-            default_interval=self.hello_config.interval
-        )
+        self.neighbor_table.clear()
         self.dup_cache.clear()
         self.scheme.reset()
 
@@ -224,10 +223,12 @@ class MobileHost:
     def radio_radius(self) -> float:
         return self.params.radio_radius
 
-    def neighbor_count(self) -> int:
+    def neighbor_count(self, purge: bool = True) -> int:
         if self.oracle_neighbors:
             return len(self.channel.neighbors_in_range(self.host_id))
-        return self.neighbor_table.neighbor_count(self.scheduler.now)
+        if purge:
+            return self.neighbor_table.neighbor_count(self.scheduler.now)
+        return self.neighbor_table.count_at(self.scheduler.now)
 
     def submit_rebroadcast(
         self, packet: BroadcastPacket, on_transmit_start

@@ -17,18 +17,24 @@ Neighborhood variation (Section 4.3)::
 Dynamic hello interval::
 
     hi_x = max(hi_min, (nv_max - nv_x) / nv_max * hi_max)
+
+Storage: a network keeps every host's table as one row of a
+:class:`NeighborMatrix`, so a HELLO decoded by many hosts at once is one
+column write (:meth:`NeighborMatrix.receive_hello`); :class:`NeighborTable`
+is the per-host view with the query API the schemes use.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Deque, FrozenSet, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.net.packets import HelloPacket
 
 __all__ = [
-    "NeighborEntry",
+    "NeighborMatrix",
     "NeighborTable",
     "dynamic_hello_interval",
     "DEFAULT_NV_WINDOW",
@@ -36,60 +42,46 @@ __all__ = [
 
 DEFAULT_NV_WINDOW = 10.0
 
-
-class NeighborEntry:
-    """What host x knows about one neighbor h (a ``__slots__`` class)."""
-
-    __slots__ = (
-        "host_id", "last_heard", "announced_interval", "neighbor_ids",
-        "expiry",
-    )
-
-    def __init__(
-        self,
-        host_id: int,
-        last_heard: float,
-        announced_interval: float,
-        neighbor_ids: FrozenSet[int] = frozenset(),
-        expiry: float = 0.0,
-    ) -> None:
-        self.host_id = host_id
-        self.last_heard = last_heard
-        self.announced_interval = announced_interval
-        self.neighbor_ids = neighbor_ids  # N_{x,h}: h's announced neighbors
-        #: ``last_heard + timeout_multiplier * announced_interval``; the
-        #: entry is stale strictly after this instant.
-        self.expiry = expiry
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"NeighborEntry(host_id={self.host_id}, "
-            f"last_heard={self.last_heard}, "
-            f"announced_interval={self.announced_interval}, "
-            f"neighbor_ids={self.neighbor_ids!r}, expiry={self.expiry})"
-        )
+_EMPTY: FrozenSet[int] = frozenset()
 
 
-class NeighborTable:
-    """Host-local neighbor knowledge built from received HELLOs.
+class NeighborMatrix:
+    """Every host's HELLO-derived neighbor knowledge, as one set of arrays.
 
-    Expiry is tracked lazily through a min-heap of ``(expiry, host_id)``
-    records: every HELLO pushes the entry's new expiry, and :meth:`purge`
-    only inspects records that have come due instead of scanning the whole
-    table.  A popped record whose entry has since been refreshed (its
-    current ``expiry`` is still in the future) is simply discarded -- the
-    refresh pushed a newer record.  The observable drop set is exactly the
-    seed's ``now - last_heard > timeout`` rule.
+    Indexed ``[receiver row, sender column]``; a cell is what host ``x``
+    (the row) knows about neighbor ``h`` (the column):
+
+    - ``present`` (bool): ``h`` is in ``N_x``;
+    - ``expiry`` (float64): ``last_heard + timeout_multiplier * interval``
+      with ``h``'s announced interval; the entry is stale strictly after
+      this instant.  Absent cells hold ``+inf``;
+    - ``two_hop`` (object): ``N_{x,h}``, the neighbor set ``h`` announced in
+      its last HELLO that carried one (``None`` when unknown).  Purged and
+      superseded sets are dropped, so they are freed.
+
+    Per row it also keeps the join/leave log the DHI variation counts and
+    the cached ``frozenset(N_x)``; the ``hello_updates``/``expirations``
+    counters are network-wide.  Per pair the arrays cost 1 + 8 + 8 bytes.
+
+    Expiry is lazy: nothing is dropped until a query purges the row (see
+    :meth:`NeighborTable.purge`), so an entry that has gone stale but was
+    not purged yet is refreshed by the next HELLO, not re-joined.
+
+    A matrix starts with no columns and :meth:`ensure_column` widens it: a
+    network to ``hosts x hosts`` when any host runs HELLO (so HELLO-free
+    runs hold no per-pair state), a stand-alone :class:`NeighborTable` on
+    each HELLO from a sender beyond its width.
     """
 
     __slots__ = (
-        "_default_interval", "_timeout_multiplier", "_variation_window",
-        "_entries", "_changes", "_expiry_heap", "_frozen",
+        "default_interval", "timeout_multiplier", "variation_window",
+        "columns", "present", "expiry", "two_hop", "changes", "frozen",
         "hello_updates", "expirations",
     )
 
     def __init__(
         self,
+        rows: int,
         default_interval: float,
         timeout_multiplier: float = 2.0,
         variation_window: float = DEFAULT_NV_WINDOW,
@@ -100,81 +92,154 @@ class NeighborTable:
             raise ValueError(
                 f"timeout_multiplier must be > 0, got {timeout_multiplier}"
             )
-        self._default_interval = default_interval
-        self._timeout_multiplier = timeout_multiplier
-        self._variation_window = variation_window
-        self._entries: Dict[int, NeighborEntry] = {}
-        # (time, host_id) of join/leave events, pruned to the window.
-        self._changes: Deque[Tuple[float, int]] = deque()
-        # Lazy expiry records; may hold stale husks for refreshed entries.
-        self._expiry_heap: List[Tuple[float, int]] = []
-        # Cached frozenset(N_x); invalidated on join/leave, not on refresh.
-        self._frozen: Optional[FrozenSet[int]] = None
+        self.default_interval = default_interval
+        self.timeout_multiplier = timeout_multiplier
+        self.variation_window = variation_window
+        self.columns = 0
+        shape = (rows, 0)
+        self.present = np.zeros(shape, dtype=bool)
+        self.expiry = np.full(shape, np.inf)
+        self.two_hop = np.full(shape, None, dtype=object)
+        #: Per row: ``(time, host_id)`` of joins and leaves, pruned to the
+        #: variation window.
+        self.changes: List[Deque[Tuple[float, int]]] = [
+            deque() for _ in range(rows)
+        ]
+        #: Per row: cached ``frozenset(N_x)``; invalidated on join/leave,
+        #: not on refresh.
+        self.frozen: List[Optional[FrozenSet[int]]] = [None] * rows
         #: Perf counters (see repro.perf): HELLOs absorbed / entries expired.
         self.hello_updates = 0
         self.expirations = 0
+
+    def table(self, row: int) -> "NeighborTable":
+        """The :class:`NeighborTable` view of host ``row``."""
+        return NeighborTable._view(self, row)
+
+    def ensure_column(self, host_id: int) -> None:
+        """Widen the arrays so column ``host_id`` exists."""
+        if host_id < self.columns:
+            return
+        columns = max(host_id + 1, 2 * self.columns, 8)
+        rows = len(self.frozen)
+        for name, fill in (("present", False), ("expiry", np.inf),
+                           ("two_hop", None)):
+            old = getattr(self, name)
+            new = np.full((rows, columns), fill, dtype=old.dtype)
+            new[:, :self.columns] = old
+            setattr(self, name, new)
+        self.columns = columns
+
+    def receive_hello(
+        self, rows: np.ndarray, hello: HelloPacket, now: float
+    ) -> None:
+        """One HELLO decoded by every host in ``rows`` (distinct ids) at
+        ``now``: the same end state as :meth:`NeighborTable.update_from_hello`
+        on each row, written as one column update.  The sender's column
+        must exist (:meth:`ensure_column`)."""
+        sender = hello.sender_id
+        interval = hello.hello_interval
+        if interval is None:
+            interval = self.default_interval
+        self.hello_updates += len(rows)
+        known = self.present[rows, sender]
+        self.expiry[rows, sender] = now + self.timeout_multiplier * interval
+        if hello.neighbor_ids is not None:
+            self.two_hop[rows, sender] = hello.neighbor_ids
+        if not known.all():
+            joined = rows[~known]
+            self.present[joined, sender] = True
+            changes = self.changes
+            frozen = self.frozen
+            for row in joined.tolist():
+                changes[row].append((now, sender))
+                frozen[row] = None
+
+
+class NeighborTable:
+    """Host-local neighbor knowledge built from received HELLOs: a view of
+    one row of a :class:`NeighborMatrix`.
+
+    Constructed directly it owns a one-row matrix of its own; a network
+    hands each host the view of its row in the shared matrix instead
+    (:meth:`NeighborMatrix.table`).
+    """
+
+    __slots__ = ("_matrix", "_row")
+
+    def __init__(
+        self,
+        default_interval: float,
+        timeout_multiplier: float = 2.0,
+        variation_window: float = DEFAULT_NV_WINDOW,
+    ) -> None:
+        self._matrix = NeighborMatrix(
+            1, default_interval, timeout_multiplier, variation_window
+        )
+        self._row = 0
+
+    @classmethod
+    def _view(cls, matrix: NeighborMatrix, row: int) -> "NeighborTable":
+        table = cls.__new__(cls)
+        table._matrix = matrix
+        table._row = row
+        return table
 
     # ----------------------------------------------------------- updates
 
     def update_from_hello(self, hello: HelloPacket, now: float) -> None:
         """Process a received HELLO packet."""
-        self.hello_updates += 1
-        interval = (
-            hello.hello_interval
-            if hello.hello_interval is not None
-            else self._default_interval
-        )
-        expiry = now + self._timeout_multiplier * interval
-        entry = self._entries.get(hello.sender_id)
-        if entry is None:
-            self._entries[hello.sender_id] = NeighborEntry(
-                host_id=hello.sender_id,
-                last_heard=now,
-                announced_interval=interval,
-                neighbor_ids=hello.neighbor_ids or frozenset(),
-                expiry=expiry,
-            )
-            self._changes.append((now, hello.sender_id))
-            self._frozen = None
-        else:
-            entry.last_heard = now
-            entry.announced_interval = interval
-            entry.expiry = expiry
-            if hello.neighbor_ids is not None:
-                entry.neighbor_ids = hello.neighbor_ids
-        heapq.heappush(self._expiry_heap, (expiry, hello.sender_id))
+        m = self._matrix
+        row = self._row
+        sender = hello.sender_id
+        m.ensure_column(sender)
+        m.hello_updates += 1
+        interval = hello.hello_interval
+        if interval is None:
+            interval = m.default_interval
+        m.expiry[row, sender] = now + m.timeout_multiplier * interval
+        if not m.present[row, sender]:
+            m.present[row, sender] = True
+            m.changes[row].append((now, sender))
+            m.frozen[row] = None
+        if hello.neighbor_ids is not None:
+            m.two_hop[row, sender] = hello.neighbor_ids
 
     def purge(self, now: float) -> Set[int]:
         """Drop neighbors not heard within their timeout; returns the dropped ids."""
-        dropped: Set[int] = set()
-        heap = self._expiry_heap
-        if not heap or heap[0][0] >= now:
-            return dropped
-        entries = self._entries
-        changes = self._changes
-        heappop = heapq.heappop
-        while heap and heap[0][0] < now:
-            _, host_id = heappop(heap)
-            entry = entries.get(host_id)
-            # Stale husk: the entry was refreshed (newer record pending)
-            # or already dropped via an earlier record.
-            if entry is None or entry.expiry >= now:
-                continue
-            del entries[host_id]
-            dropped.add(host_id)
+        m = self._matrix
+        row = self._row
+        expiry = m.expiry[row]
+        if not expiry.size or expiry.min() >= now:
+            return set()
+        dropped = np.flatnonzero(expiry < now)
+        expiry[dropped] = np.inf
+        m.present[row, dropped] = False
+        m.two_hop[row, dropped] = None
+        ids = dropped.tolist()
+        changes = m.changes[row]
+        for host_id in ids:
             changes.append((now, host_id))
-        if dropped:
-            self._frozen = None
-            self.expirations += len(dropped)
-        return dropped
+        m.frozen[row] = None
+        m.expirations += len(ids)
+        return set(ids)
+
+    def clear(self) -> None:
+        """Forget every neighbor and the join/leave log (a crash); the
+        counters keep counting."""
+        m = self._matrix
+        row = self._row
+        m.present[row] = False
+        m.expiry[row] = np.inf
+        m.two_hop[row] = None
+        m.changes[row].clear()
+        m.frozen[row] = None
 
     # ----------------------------------------------------------- queries
 
     def neighbor_ids(self, now: Optional[float] = None) -> Set[int]:
         """Current one-hop neighbor set ``N_x`` (purged first if ``now`` given)."""
-        if now is not None:
-            self.purge(now)
-        return set(self._entries)
+        return set(self.neighbor_frozenset(now))
 
     def neighbor_frozenset(self, now: Optional[float] = None) -> FrozenSet[int]:
         """``frozenset(N_x)``, cached across calls until membership changes.
@@ -185,24 +250,36 @@ class NeighborTable:
         """
         if now is not None:
             self.purge(now)
-        frozen = self._frozen
+        m = self._matrix
+        frozen = m.frozen[self._row]
         if frozen is None:
-            frozen = self._frozen = frozenset(self._entries)
+            frozen = m.frozen[self._row] = frozenset(
+                np.flatnonzero(m.present[self._row]).tolist()
+            )
         return frozen
 
     def neighbor_count(self, now: Optional[float] = None) -> int:
         """``n = |N_x|``, the input to the adaptive threshold functions."""
-        if now is not None:
-            self.purge(now)
-        return len(self._entries)
+        return len(self.neighbor_frozenset(now))
+
+    def count_at(self, now: float) -> int:
+        """``n`` as :meth:`neighbor_count` at ``now`` would return it, but
+        without purging: a pure read."""
+        due = np.count_nonzero(self._matrix.expiry[self._row] < now)
+        return len(self.neighbor_frozenset()) - int(due)
 
     def two_hop_neighbors(self, host_id: int) -> FrozenSet[int]:
         """``N_{x,h}``: the neighbor set ``h`` announced, empty if unknown."""
-        entry = self._entries.get(host_id)
-        return entry.neighbor_ids if entry is not None else frozenset()
+        m = self._matrix
+        if 0 <= host_id < m.columns:
+            known = m.two_hop[self._row, host_id]
+            if known is not None:
+                return known
+        return _EMPTY
 
     def knows(self, host_id: int) -> bool:
-        return host_id in self._entries
+        m = self._matrix
+        return 0 <= host_id < m.columns and bool(m.present[self._row, host_id])
 
     def variation(self, now: float) -> float:
         """The paper's ``nv_x`` over the past ``variation_window`` seconds.
@@ -212,11 +289,13 @@ class NeighborTable:
         neighborhood).
         """
         self.purge(now)
-        cutoff = now - self._variation_window
-        while self._changes and self._changes[0][0] < cutoff:
-            self._changes.popleft()
-        denom = max(len(self._entries), 1) * self._variation_window
-        return len(self._changes) / denom
+        m = self._matrix
+        changes = m.changes[self._row]
+        cutoff = now - m.variation_window
+        while changes and changes[0][0] < cutoff:
+            changes.popleft()
+        denom = max(self.neighbor_count(), 1) * m.variation_window
+        return len(changes) / denom
 
 
 def dynamic_hello_interval(

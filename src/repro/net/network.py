@@ -5,12 +5,14 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.kernel import resolve_kernel
+from repro.mac.frames import DataFrame
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.connectivity import reachable_set
 from repro.mobility.map import RectMap
 from repro.mobility.models import MobilityModel, kmh_to_ms, make_mobility
 from repro.net.host import HelloConfig, MobileHost
-from repro.net.packets import BroadcastPacket
+from repro.net.neighbors import NeighborMatrix
+from repro.net.packets import BroadcastPacket, HelloPacket
 from repro.phy.capture import CaptureModel
 from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
@@ -113,6 +115,11 @@ class Network:
             position_store=store,
         )
         self._seq = 0
+        #: Every host's HELLO-derived neighbor state (rows = receivers),
+        #: widened to hosts x hosts below when any host runs HELLO.
+        self.neighbor_matrix = NeighborMatrix(
+            num_hosts, (hello_config or HelloConfig()).interval
+        )
 
         for host_id in range(num_hosts):
             host = MobileHost(
@@ -130,8 +137,28 @@ class Network:
                 hello_config=hello_config,
                 oracle_neighbors=oracle_neighbors,
                 trace=trace,
+                neighbor_table=self.neighbor_matrix.table(host_id),
             )
             self.hosts.append(host)
+        if any(host.hello_enabled for host in self.hosts):
+            self.neighbor_matrix.ensure_column(num_hosts - 1)
+            self.channel.bulk_receiver = self._receive_hello
+
+    def _receive_hello(
+        self, frame: Any, sender_id: int, receiver_ids: Any
+    ) -> bool:
+        # The channel's bulk hook: a decoded broadcast HELLO becomes one
+        # column write into the neighbor matrix instead of a MAC -> host ->
+        # table upcall chain per receiver.  Anything else is declined.
+        if type(frame) is not DataFrame or frame.dst is not None:
+            return False
+        hello = frame.payload
+        if not isinstance(hello, HelloPacket):
+            return False
+        self.neighbor_matrix.receive_hello(
+            receiver_ids, hello, self.scheduler._now
+        )
+        return True
 
     def _position_of(self, host_id: int) -> Tuple[float, float]:
         # The host's per-instant memo (see MobileHost.position), inlined:

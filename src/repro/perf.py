@@ -7,10 +7,10 @@ Two layers, matching how the paper's experiments are actually debugged:
   maintained* by the hot paths (the scheduler's insertion sequence, the
   channel's :class:`~repro.phy.channel.ChannelStats`, each MAC's
   :class:`~repro.mac.csma.MacStats`, each host's position-memo hit/miss
-  pair, each :class:`~repro.net.neighbors.NeighborTable`'s update/expiry
-  tallies); :meth:`KernelPerf.collect` merely reads them out once at the
-  end of a run, so the simulation itself pays nothing beyond the integer
-  bumps it was doing anyway.
+  pair, the network's :class:`~repro.net.neighbors.NeighborMatrix`
+  update/expiry tallies); :meth:`KernelPerf.collect` merely reads them out
+  once at the end of a run, so the simulation itself pays nothing beyond
+  the integer bumps it was doing anyway.
 - :func:`profiled` / :func:`format_profile` -- an opt-in ``cProfile``
   wrapper behind the CLI's ``--profile [N]`` flag, for when the counters
   say *what* is slow and you need to know *where*.
@@ -36,9 +36,10 @@ batched all-host evaluation or a lazy single-host read).
 ``batch_scans``/``vector_candidates`` the vectorized receiver scans and
 the total in-range ids they produced.
 ``hello_updates``/``neighbor_expirations`` count HELLO-driven neighbor
-table writes and lazy-heap expiries.  Channel and MAC counters mirror the
-fields of the same name on ``ChannelStats`` / ``MacStats`` (MAC counters
-are summed across hosts).
+table writes (one per receiving host per HELLO) and entries dropped by the
+lazy query-time purge; both survive host crashes.  Channel and MAC
+counters mirror the fields of the same name on ``ChannelStats`` /
+``MacStats`` (MAC counters are summed across hosts).
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ class KernelPerf:
 
         frames_sent = frames_received = frames_corrupted = 0
         backoffs = pos_hits = pos_misses = 0
-        hello_updates = expirations = 0
         # Vector kernel: the PositionStore subsumes the per-host memo, so
         # its epoch cache reports through the same hit/miss pair (a miss is
         # any query that had to evaluate mobility -- a batched epoch or a
@@ -137,17 +137,15 @@ class KernelPerf:
             backoffs += mac.backoffs_started
             pos_hits += host.pos_hits
             pos_misses += host.pos_misses  # all zero under the vector kernel
-            table = host.neighbor_table
-            hello_updates += table.hello_updates
-            expirations += table.expirations
         perf.frames_sent = frames_sent
         perf.frames_received = frames_received
         perf.frames_corrupted = frames_corrupted
         perf.backoffs_started = backoffs
         perf.pos_hits = pos_hits
         perf.pos_misses = pos_misses
-        perf.hello_updates = hello_updates
-        perf.neighbor_expirations = expirations
+        matrix = network.neighbor_matrix
+        perf.hello_updates = matrix.hello_updates
+        perf.neighbor_expirations = matrix.expirations
         return perf
 
     # ------------------------------------------------------------- ops

@@ -90,6 +90,10 @@ a handful of numpy fancy-index operations; corruption-flip counts (and so
   arrays and are folded into their scalar-form dicts/stats by
   :meth:`Channel.finalize_vector_stats` (idempotent; called by
   :meth:`repro.perf.KernelPerf.collect` at end of run);
+- a :attr:`Channel.bulk_receiver` may claim a clean frame for all of its
+  receivers at once (the network claims decoded broadcast HELLOs): no
+  per-receiver upcall runs, and the receivers' MAC ``frames_received``
+  tallies are array-accumulated and folded like ``frames_corrupted``;
 - a ``drop_predicate`` (stateful fault-injected loss) switches the scan
   from whole-array operations to a per-receiver loop over the same
   arrays, preserving the predicate's per-pair RNG call order;
@@ -327,6 +331,8 @@ class Channel:
             # dict/stats form by finalize_vector_stats().
             self._vec_corrupted = _np.zeros(n, dtype=_np.int64)
             self._vec_corrupted_flushed = _np.zeros(n, dtype=_np.int64)
+            self._vec_received = _np.zeros(n, dtype=_np.int64)
+            self._vec_received_flushed = _np.zeros(n, dtype=_np.int64)
             self._vec_rx_air = _np.zeros(n, dtype=_np.float64)
             self._vec_rx_seen = _np.zeros(n, dtype=bool)
             self._vec_rx_order: List[int] = []
@@ -337,6 +343,17 @@ class Channel:
         else:
             self._attached_mask = None
         self._vector_sorted = True
+        #: Vector kernel: optional ``(frame, sender_id, receiver_ids) ->
+        #: bool`` offered each clean frame once, with the whole delivered id
+        #: array, on the fast frame-end branch (no tracing, no corruption
+        #: listeners).  Returning ``True`` claims the frame for every
+        #: receiver: no per-receiver ``on_frame_received`` upcall is made,
+        #: and each receiver's MAC ``frames_received`` is bumped in bulk.
+        #: Only for frames whose MAC reception is that bump alone
+        #: (broadcast data frames).
+        self.bulk_receiver: Optional[
+            Callable[[Any, int, Any], bool]
+        ] = None
 
     @property
     def params(self) -> PhyParams:
@@ -1027,10 +1044,16 @@ class Channel:
                 # array; finalize_vector_stats() folds them into MacStats.
                 self._vec_corrupted[corrupted_ids] += 1
             deliveries = int(delivered.size)
-            for host_id in delivered.tolist():
-                listener = listeners_get(host_id)
-                if listener is not None:
-                    listener.on_frame_received(frame, sender_id)
+            claim = self.bulk_receiver
+            if deliveries and claim is not None and claim(
+                frame, sender_id, delivered
+            ):
+                self._vec_received[delivered] += 1
+            else:
+                for host_id in delivered.tolist():
+                    listener = listeners_get(host_id)
+                    if listener is not None:
+                        listener.on_frame_received(frame, sender_id)
         if deliveries:
             self.stats.deliveries += deliveries
 
@@ -1041,9 +1064,10 @@ class Channel:
         Idempotent and safe to call mid-run: the arrays stay the source
         of truth -- the rx-airtime dict is rebuilt (in first-touch order,
         matching the scalar kernel's insertion order and therefore its
-        float summation order), and MAC ``frames_corrupted`` bumps are
-        delta-flushed.  No-op on the scalar kernel.  Called by
-        :meth:`repro.perf.KernelPerf.collect` at end of run.
+        float summation order), and MAC ``frames_corrupted`` and bulk
+        ``frames_received`` bumps are delta-flushed.  No-op on the scalar
+        kernel.  Called by :meth:`repro.perf.KernelPerf.collect` at end of
+        run.
         """
         if self._store is None:
             return
@@ -1052,13 +1076,19 @@ class Channel:
         rx_air.clear()
         for host_id in self._vec_rx_order:
             rx_air[host_id] = float(rx_vec[host_id])
-        corrupted = self._vec_corrupted
-        flushed = self._vec_corrupted_flushed
-        pending = corrupted - flushed
-        if pending.any():
-            mac_stats = self._vec_mac_stats
+        mac_stats = self._vec_mac_stats
+        for field, tally, flushed in (
+            ("frames_corrupted", self._vec_corrupted,
+             self._vec_corrupted_flushed),
+            ("frames_received", self._vec_received,
+             self._vec_received_flushed),
+        ):
+            pending = tally - flushed
+            if not pending.any():
+                continue
             for host_id in _np.nonzero(pending)[0].tolist():
                 stats_obj = mac_stats.get(host_id)
                 if stats_obj is not None:
-                    stats_obj.frames_corrupted += int(pending[host_id])
-            flushed[:] = corrupted
+                    setattr(stats_obj, field,
+                            getattr(stats_obj, field) + int(pending[host_id]))
+            flushed[:] = tally

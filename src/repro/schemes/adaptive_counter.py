@@ -88,5 +88,5 @@ class AdaptiveCounterScheme(CounterScheme):
         return state.assessment[0] >= self.threshold_fn(n)
 
     def trace_provenance(self, state: PendingBroadcast):
-        n = self.host.neighbor_count()
+        n = self.host.neighbor_count(purge=False)
         return (n, self.threshold_fn(n), state.assessment[0])

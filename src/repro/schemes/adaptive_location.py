@@ -80,5 +80,5 @@ class AdaptiveLocationScheme(LocationScheme):
         return self.threshold_fn(self.host.neighbor_count())
 
     def trace_provenance(self, state):
-        n = self.host.neighbor_count()
+        n = self.host.neighbor_count(purge=False)
         return (n, self.threshold_fn(n), state.assessment.ac)

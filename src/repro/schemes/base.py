@@ -67,8 +67,13 @@ class SchemeHost:
     def radio_radius(self) -> float:
         raise NotImplementedError
 
-    def neighbor_count(self) -> int:
-        """``n``: current number of known one-hop neighbors."""
+    def neighbor_count(self, purge: bool = True) -> int:
+        """``n``: current number of known one-hop neighbors.
+
+        ``purge=False`` reads the same number without dropping stale
+        entries, for trace provenance: an extra purge would move the
+        neighbor table's join/leave times and expiry count.
+        """
         raise NotImplementedError
 
     def submit_rebroadcast(

@@ -136,4 +136,4 @@ class AdaptiveGossipScheme(GossipScheme):
 
     def trace_provenance(self, state: PendingBroadcast):
         draw, p = state.assessment
-        return (self.host.neighbor_count(), p, draw)
+        return (self.host.neighbor_count(purge=False), p, draw)

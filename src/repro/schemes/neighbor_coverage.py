@@ -88,4 +88,4 @@ class NeighborCoverageScheme(DeferredRebroadcastScheme):
 
     def trace_provenance(self, state: PendingBroadcast):
         # The "threshold" is the empty pending set: inhibit iff |T| == 0.
-        return (self.host.neighbor_count(), 0, len(state.assessment))
+        return (self.host.neighbor_count(purge=False), 0, len(state.assessment))

@@ -77,3 +77,65 @@ def test_lattice_near_uniform():
         quadrants[index] += 1
     for count in quadrants:
         assert count == pytest.approx(1000, rel=0.05)
+
+
+def _loop_uncovered_fraction(sampler, center, radius, centers, covering_radius):
+    """The per-point Python loop the array version replaced: the reference."""
+    centers = list(centers)
+    if not centers:
+        return 1.0
+    cx, cy = center
+    rr = covering_radius * covering_radius
+    uncovered = 0
+    for px, py in sampler.points((0.0, 0.0), 1.0):
+        sx = cx + px * radius
+        sy = cy + py * radius
+        for qx, qy in centers:
+            dx = sx - qx
+            dy = sy - qy
+            if dx * dx + dy * dy <= rr:
+                break
+        else:
+            uncovered += 1
+    return uncovered / sampler.num_points
+
+
+def test_array_coverage_equals_the_point_loop_exactly():
+    """Random hosts and 1..6 covering disks, half of them placed so that a
+    sample point sits on (or within float rounding of) a covering circle:
+    the array computation must agree with the loop bit for bit."""
+    import random
+
+    rng = random.Random(20010416)
+    sampler = DiskSampler(256)
+    unit = sampler.points((0.0, 0.0), 1.0)
+    for case in range(20_000):
+        center = (rng.uniform(0.0, 5500.0), rng.uniform(0.0, 5500.0))
+        radius = rng.choice((500.0, 1.0, rng.uniform(1.0, 800.0)))
+        covering = rng.choice((radius, rng.uniform(0.5, 2.0) * radius))
+        centers = []
+        for _ in range(rng.randint(1, 6)):
+            if case % 2:
+                # On the boundary: a sample point pushed exactly the
+                # covering radius away along an axis or a diagonal.
+                px, py = unit[rng.randrange(len(unit))]
+                sx = center[0] + px * radius
+                sy = center[1] + py * radius
+                ux, uy = rng.choice(((1.0, 0.0), (0.0, -1.0), (0.6, 0.8)))
+                centers.append((sx + ux * covering, sy + uy * covering))
+            else:
+                centers.append((
+                    center[0] + rng.uniform(-2.0, 2.0) * radius,
+                    center[1] + rng.uniform(-2.0, 2.0) * radius,
+                ))
+        got = sampler.uncovered_fraction(center, radius, centers, covering)
+        want = _loop_uncovered_fraction(sampler, center, radius, centers, covering)
+        assert got == want, (case, center, radius, centers, covering)
+
+
+def test_array_coverage_accepts_integer_inputs():
+    assert uncovered_fraction((0, 0), 1, [(1, 0), (0, 1)], 1) == (
+        _loop_uncovered_fraction(
+            DiskSampler(256), (0, 0), 1, [(1, 0), (0, 1)], 1
+        )
+    )

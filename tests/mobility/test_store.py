@@ -168,3 +168,28 @@ def test_arrays_are_float64_views():
     xs, ys = store.arrays_at(0.5)
     assert xs.dtype == np.float64 and ys.dtype == np.float64
     assert xs.shape == ys.shape == (5,)
+
+
+def test_border_crossings_fold_exactly_like_the_models():
+    """Fast hosts on a small map leave it all the time.  Epochs land
+    exactly on, and one ulp after, rows' recorded exit times -- where the
+    exit-time filter hands rows over to the exact bounds test -- and in
+    between; every position must still equal the model's own."""
+    world = RectMap(120.0, 90.0)
+    store_fleet, scalar_fleet = twin_fleets(world, 30, seed=5, speed_kmh=300.0)
+    store = PositionStore(store_fleet, world)
+    t = 0.0
+    past_exit = 0
+    for step in range(600):
+        xs, ys = store.arrays_at(t)
+        for i, model in enumerate(scalar_fleet):
+            assert (float(xs[i]), float(ys[i])) == model.position(t), (i, t)
+        past_exit += int(np.count_nonzero(store._exit < t))
+        upcoming = store._exit[store._exit > t]
+        if step % 3 and upcoming.size:
+            t = float(upcoming.min())
+            if step % 2:
+                t = float(np.nextafter(t, np.inf))
+        else:
+            t += 0.37
+    assert past_exit > 0

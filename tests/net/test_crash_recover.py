@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.topologies import build_static_network, line_positions
 from repro.net.host import HelloConfig
+from repro.perf import KernelPerf
 from repro.phy.params import PhyParams
 from repro.schemes.counter import CounterScheme
 from repro.schemes.flooding import FloodingScheme
@@ -148,3 +149,25 @@ def test_mobility_survives_the_crash():
     assert network.hosts[1].position() == before
     assert 1 not in network.alive_positions()
     assert 1 in network.positions()
+
+
+def test_crash_keeps_the_hello_counters():
+    """Regression: a crash used to swap in a fresh neighbor table, so the
+    HELLO counters lost every pre-crash count while the MAC's
+    ``frames_received`` kept them.  With only HELLOs on the air every
+    received frame is one table update, across crashes and recoveries."""
+    scheduler, network, _ = make_network()
+    scheduler.run(until=2.0)
+    before = KernelPerf.collect(scheduler, network)
+    assert before.hello_updates == before.frames_received > 0
+    network.crash_host(1)
+    after_crash = KernelPerf.collect(scheduler, network)
+    assert after_crash.hello_updates == before.hello_updates
+    assert after_crash.neighbor_expirations == before.neighbor_expirations
+    scheduler.run(until=4.0)
+    network.recover_host(1)
+    scheduler.run(until=6.0)
+    perf = KernelPerf.collect(scheduler, network)
+    assert perf.hello_updates == perf.frames_received > after_crash.hello_updates
+    # Hosts 0 and 2 aged the silent host 1 out of their tables meanwhile.
+    assert perf.neighbor_expirations >= before.neighbor_expirations + 2

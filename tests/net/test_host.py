@@ -3,7 +3,9 @@
 import pytest
 
 from repro.experiments.topologies import build_static_network, line_positions
+from repro.mac.csma import CsmaCaMac
 from repro.net.host import HelloConfig
+from repro.net.packets import HelloPacket
 from repro.schemes import CounterScheme, FloodingScheme, NeighborCoverageScheme
 from repro.sim.engine import Scheduler
 
@@ -113,7 +115,16 @@ def test_hello_derived_neighbor_count_without_hellos_is_zero():
     assert network.hosts[1].neighbor_count() == 0
 
 
-def test_dynamic_hello_interval_announced():
+def test_dynamic_hello_interval_announced(monkeypatch):
+    sent = []
+    original_send = CsmaCaMac.send
+
+    def spy(mac, frame, size_bytes, *args):
+        if mac.host_id == 1 and isinstance(frame, HelloPacket):
+            sent.append((mac._scheduler.now, frame.hello_interval))
+        return original_send(mac, frame, size_bytes, *args)
+
+    monkeypatch.setattr(CsmaCaMac, "send", spy)
     scheduler = Scheduler()
     network, _ = build_static_network(
         scheduler, line_positions(2, 400.0), NeighborCoverageScheme,
@@ -121,10 +132,13 @@ def test_dynamic_hello_interval_announced():
     )
     network.start()
     scheduler.run(until=15.0)
-    # Neighbors heard each other; the announced interval is recorded.
-    table = network.hosts[0].neighbor_table
-    entry = table._entries[1]
-    assert 1.0 <= entry.announced_interval <= 10.0
+    # Neighbors heard each other; the timeout host 0 applies to host 1 is
+    # two of host 1's last *announced* intervals, counted from when its
+    # last HELLO arrived (after it was queued, by 15 s).
+    sent_at, announced = sent[-1]
+    assert 1.0 <= announced <= 10.0
+    expiry = network.neighbor_matrix.expiry[0, 1]
+    assert sent_at <= expiry - 2.0 * announced <= 15.0
 
 
 def test_static_hosts_send_few_dynamic_hellos():

@@ -75,7 +75,7 @@ class FakeHost:
     def radio_radius(self) -> float:
         return self._radius
 
-    def neighbor_count(self) -> int:
+    def neighbor_count(self, purge: bool = True) -> int:
         return self._neighbor_count
 
     def submit_rebroadcast(self, packet, on_transmit_start):
