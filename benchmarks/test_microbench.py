@@ -9,6 +9,7 @@ import random
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_broadcast_simulation
 from repro.metrics.connectivity import reachable_set
+from repro.mobility.store import PositionStore
 from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
@@ -53,7 +54,7 @@ def test_channel_transmission_fanout(benchmark):
 
     def run():
         scheduler = Scheduler()
-        channel = Channel(scheduler, params, lambda hid: positions[hid])
+        channel = Channel(scheduler, params, PositionStore.static(positions))
         sink = Sink()
         for host_id in range(100):
             channel.attach(host_id, sink)

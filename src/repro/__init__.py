@@ -43,7 +43,6 @@ from repro.experiments.runner import (
     run_broadcast_simulation,
 )
 from repro.faults import FaultInjector, FaultPlan
-from repro.kernel import kernel_override, resolve_kernel, set_kernel_mode
 from repro.metrics.collector import BroadcastRecord, MetricsCollector
 from repro.schemes import (
     SCHEME_REGISTRY,
@@ -61,9 +60,6 @@ __all__ = [
     "SimulationResult",
     "run_broadcast_simulation",
     "run_broadcast_batch",
-    "kernel_override",
-    "resolve_kernel",
-    "set_kernel_mode",
     "BroadcastRecord",
     "MetricsCollector",
     "FaultPlan",

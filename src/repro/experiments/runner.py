@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.recorder import TraceRecorder
@@ -18,6 +18,7 @@ from repro.metrics.collector import (
     SimulationSummary,
 )
 from repro.mobility.map import RectMap
+from repro.mobility.store import PositionBuffers
 from repro.net.network import Network
 from repro.perf import KernelPerf
 from repro.phy.channel import ChannelStats
@@ -117,8 +118,7 @@ def run_broadcast_simulation(
     config: ScenarioConfig,
     network_hook: Optional[Callable[[Network], None]] = None,
     trace: Optional["TraceRecorder"] = None,
-    kernel: Optional[str] = None,
-    position_buffers: Optional[Any] = None,
+    position_buffers: Optional[PositionBuffers] = None,
 ) -> SimulationResult:
     """Build the world from ``config``, drive traffic, and summarize.
 
@@ -132,12 +132,9 @@ def run_broadcast_simulation(
     is not part of :class:`ScenarioConfig` on purpose: it never changes
     results, so cached-result digests stay comparable traced or not.
 
-    ``kernel`` overrides the process-wide kernel mode for this run (see
-    :mod:`repro.kernel`); ``position_buffers`` lets a batch driver share
-    the vector kernel's numpy allocations across runs.  Neither is part of
-    :class:`ScenarioConfig`: like tracing, the kernel is an execution
-    detail that never changes results, so cached-result digests stay
-    comparable across kernels.
+    ``position_buffers`` lets a batch driver share the position store's
+    numpy allocations across runs; like tracing, it never changes results
+    and is not part of :class:`ScenarioConfig`.
 
     Broadcast sources are picked uniformly at random per request and the
     interarrival time is uniform in [0, ``interarrival_max``], per the
@@ -168,7 +165,6 @@ def run_broadcast_simulation(
         oracle_neighbors=config.oracle_neighbors,
         capture=config.capture,
         trace=trace,
-        kernel=kernel,
         position_buffers=position_buffers,
     )
     if trace is not None:
@@ -265,13 +261,12 @@ def run_sweep(
 def run_broadcast_batch(
     config: ScenarioConfig,
     seeds: Iterable[int],
-    kernel: Optional[str] = None,
     progress: Optional[Callable[[ScenarioConfig, SimulationResult], None]] = None,
 ) -> List[SimulationResult]:
     """Run ``config`` once per seed in this process, sharing world setup.
 
     The multi-broadcast batch mode for replication sweeps: one process,
-    many seeds, one set of vector-kernel numpy allocations
+    many seeds, one set of position-store numpy allocations
     (:class:`repro.mobility.store.PositionBuffers`) reused across the
     world builds instead of reallocated per seed.  Each run is otherwise
     the full :func:`run_broadcast_simulation` pipeline with its own
@@ -280,19 +275,11 @@ def run_broadcast_batch(
     """
     from dataclasses import replace
 
-    from repro.kernel import resolve_kernel
-
-    buffers = None
-    if resolve_kernel(kernel) == "vector":
-        from repro.mobility.store import PositionBuffers
-
-        buffers = PositionBuffers(config.num_hosts)
+    buffers = PositionBuffers(config.num_hosts)
     results = []
     for seed in seeds:
         seeded = config if seed == config.seed else replace(config, seed=seed)
-        result = run_broadcast_simulation(
-            seeded, kernel=kernel, position_buffers=buffers
-        )
+        result = run_broadcast_simulation(seeded, position_buffers=buffers)
         if progress is not None:
             progress(seeded, result)
         results.append(result)

@@ -1,114 +1,17 @@
-"""Kernel-mode selection: the scalar reference path vs the vectorized path.
+"""The simulation kernel's name, for benchmark and platform records.
 
-The simulation kernel has two execution strategies that produce
-**bit-identical** results:
-
-- ``"scalar"`` -- the original pure-Python hot paths: per-host mobility
-  queries behind per-instant memos, and a per-candidate Python loop (with
-  the spatial-grid index) for each transmission's receiver scan.  This is
-  the reference implementation; the golden determinism suite was captured
-  against it.
-- ``"vector"`` -- numpy-batched positions: all hosts' mobility is advanced
-  in one batched call per position epoch by a
-  :class:`repro.mobility.store.PositionStore`, and each transmission's
-  receiver scan is a single vectorized distance mask over the position
-  arrays.  Requires numpy and the built-in mobility models (a custom
-  ``mobility_factory`` falls back to scalar -- its models may share RNG
-  state across hosts, which batched advancement would reorder).
-
-``"auto"`` (the default) picks ``"vector"`` whenever numpy is importable,
-and falls back to ``"scalar"`` otherwise -- correctness never depends on
-the choice, only throughput does.  The determinism suite runs both modes
-explicitly, which is what makes the automatic default safe.
-
-Selection precedence: an explicit ``kernel=`` argument (to
-:class:`repro.net.network.Network` or
-:func:`repro.experiments.runner.run_broadcast_simulation`) beats
-:func:`set_kernel_mode`, which beats the ``REPRO_KERNEL`` environment
-variable, which beats the ``"auto"`` default.
+The simulator has one execution path: host positions are batched per
+instant in a :class:`repro.mobility.store.PositionStore`, and each
+transmission's receiver scan is one numpy distance mask over them
+(:mod:`repro.phy.channel`).  There is nothing to select; this module only
+names that path for records that note which kernel produced them.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
-
-__all__ = [
-    "KERNEL_MODES",
-    "kernel_mode",
-    "set_kernel_mode",
-    "kernel_override",
-    "resolve_kernel",
-    "vector_supported",
-]
-
-KERNEL_MODES = ("auto", "scalar", "vector")
-
-_mode: Optional[str] = None  # None -> read REPRO_KERNEL / default lazily
+__all__ = ["resolve_kernel"]
 
 
-def _validated(mode: str) -> str:
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {mode!r} (choose from "
-            f"{', '.join(KERNEL_MODES)})"
-        )
-    return mode
-
-
-def kernel_mode() -> str:
-    """The process-wide kernel mode: ``auto``, ``scalar`` or ``vector``."""
-    if _mode is not None:
-        return _mode
-    return _validated(os.environ.get("REPRO_KERNEL", "").strip() or "auto")
-
-
-def set_kernel_mode(mode: str) -> str:
-    """Set the process-wide kernel mode; returns the previous setting.
-
-    Overrides ``REPRO_KERNEL``.  Only affects networks built afterwards.
-    """
-    global _mode
-    previous = kernel_mode()
-    _mode = _validated(mode)
-    return previous
-
-
-@contextmanager
-def kernel_override(mode: str) -> Iterator[str]:
-    """Temporarily force the kernel mode (tests / benchmarks)."""
-    global _mode
-    saved = _mode
-    _mode = _validated(mode)
-    try:
-        yield _mode
-    finally:
-        _mode = saved
-
-
-def vector_supported() -> bool:
-    """Whether the vector kernel can run in this interpreter (numpy)."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - image always ships numpy
-        return False
-    return True
-
-
-def resolve_kernel(mode: Optional[str] = None) -> str:
-    """Resolve a requested mode (or the process default) to scalar/vector.
-
-    ``"auto"`` resolves to ``"vector"`` when numpy is available, else
-    ``"scalar"``.  An explicit ``"vector"`` request raises if numpy is
-    missing -- silently degrading an explicit request would make a
-    determinism comparison vacuously pass.
-    """
-    requested = _validated(mode) if mode is not None else kernel_mode()
-    if requested == "auto":
-        return "vector" if vector_supported() else "scalar"
-    if requested == "vector" and not vector_supported():
-        raise RuntimeError(
-            "kernel mode 'vector' requested but numpy is not importable"
-        )
-    return requested
+def resolve_kernel() -> str:
+    """The kernel every simulation runs: always ``"vector"``."""
+    return "vector"

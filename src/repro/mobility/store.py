@@ -1,16 +1,12 @@
 """Batched host positions: numpy arrays over every host's mobility state.
 
-The scalar kernel asks each host's :class:`~repro.mobility.models
-.MobilityModel` for its position one call at a time, behind per-instant
-memos.  At 1000+ hosts a single transmission's receiver scan makes ~N such
-calls, and a dense broadcast storm makes thousands of scans -- the Python
-call overhead dominates the whole simulation.
-
 :class:`PositionStore` mirrors every host's current motion segment
 ``(origin, velocity, segment start/end)`` into numpy arrays and evaluates
 **all** positions for a timestamp in one batched call per *position epoch*
 (the first query at each distinct simulation time).  Subsequent queries at
-the same instant are served from the cached arrays.
+the same instant are served from the cached arrays.  It is the simulator's
+only source of host positions: the channel's receiver scan is a distance
+mask over these arrays.
 
 Bit-identity contract
 ---------------------
@@ -28,19 +24,29 @@ The batched evaluation is float-for-float the same arithmetic as
   inside and only the rest get the exact bounds test;
 - segment rolls are delegated to the models themselves (``_roll_to``), so
   every RNG draw happens on the same per-host stream in the same per-host
-  order as lazy scalar querying.  Batching *can* roll a host's segments at
-  an earlier wall point than the scalar kernel would (e.g. a crashed host
-  keeps moving but is never scanned), but since each built-in model draws
-  from a private stream the drawn values -- and therefore every position
-  ever observed -- are identical.  This is why the store refuses models it
-  does not recognize: a custom model might share one RNG across hosts, and
-  batched advancement would reorder those draws.
+  order as querying each model lazily.  Batching *can* roll a host's
+  segments earlier than a lazy query would (e.g. a crashed host keeps
+  moving but is never scanned), but since each built-in model draws from a
+  private stream the drawn values -- and therefore every position ever
+  observed -- are identical.
+
+Custom mobility models
+----------------------
+Any other :class:`~repro.mobility.models.MobilityModel` (e.g. one passed
+through ``Network(mobility_factory=...)``) gets a row the store does not
+vectorize: zero velocity, no segment end, no map exit, overwritten with
+``model.position(time)`` in id order at each epoch and never folded.
+Single-host reads go to the model as for every row.  The contract: a
+custom model's position depends on the query time alone.  It may draw
+randomness only from an RNG it owns and only as time advances, like the
+built-in models, never per call -- the store asks at every epoch, which
+is not when or how often a lazy caller would ask.
 
 Buffer reuse
 ------------
 ``PositionBuffers`` lets a batch driver (many seeds, one process -- see
 :func:`repro.experiments.runner.run_broadcast_batch`) reuse the numpy
-allocations across world builds instead of reallocating eight arrays per
+allocations across world builds instead of reallocating nine arrays per
 seed.
 """
 
@@ -53,14 +59,7 @@ import numpy as np
 from repro.mobility.map import RectMap, _fold
 from repro.mobility.models import MobilityModel, StaticMobility, _SegmentedMobility
 
-__all__ = ["PositionBuffers", "PositionStore", "supports_models"]
-
-
-def supports_models(models: Sequence[MobilityModel]) -> bool:
-    """Whether every model is a built-in the store can vectorize."""
-    return all(
-        isinstance(m, (_SegmentedMobility, StaticMobility)) for m in models
-    )
+__all__ = ["PositionBuffers", "PositionStore"]
 
 
 class PositionBuffers:
@@ -97,13 +96,12 @@ class PositionBuffers:
 class PositionStore:
     """Vectorized per-instant positions for hosts ``0 .. n-1``.
 
-    One instance per :class:`~repro.net.network.Network` (vector kernel
-    only).  Queries must be non-decreasing in time, which the event-driven
-    scheduler guarantees.
+    One instance per :class:`~repro.net.network.Network`.  Queries must be
+    non-decreasing in time, which the event-driven scheduler guarantees.
     """
 
     __slots__ = (
-        "size", "_models", "_world_w", "_world_h",
+        "size", "_models", "_custom", "_world_w", "_world_h",
         "_ox", "_oy", "_vx", "_vy", "_t0", "_t1", "_exit", "_x", "_y",
         "_next_roll", "_next_exit", "_time", "_lazy_time",
         "epoch_hits", "batch_evals", "lazy_reads", "segment_rolls",
@@ -119,18 +117,6 @@ class PositionStore:
         world: RectMap,
         buffers: Optional[PositionBuffers] = None,
     ) -> None:
-        if not supports_models(models):
-            unsupported = sorted(
-                {
-                    type(m).__name__
-                    for m in models
-                    if not isinstance(m, (_SegmentedMobility, StaticMobility))
-                }
-            )
-            raise ValueError(
-                f"PositionStore cannot vectorize mobility model(s): "
-                f"{', '.join(unsupported)}"
-            )
         self.size = len(models)
         self._models = list(models)
         self._world_w = world.width
@@ -138,23 +124,30 @@ class PositionStore:
         arrays = (buffers or PositionBuffers()).views(self.size)
         (self._ox, self._oy, self._vx, self._vy,
          self._t0, self._t1, self._exit, self._x, self._y) = arrays
+        #: Rows of custom models, overwritten from the model each epoch.
+        self._custom: List[int] = []
         for i, model in enumerate(self._models):
-            if isinstance(model, StaticMobility):
-                x, y = model.position(0.0)
-                self._ox[i] = x
-                self._oy[i] = y
-                self._vx[i] = 0.0
-                self._vy[i] = 0.0
-                self._t0[i] = 0.0
-                self._t1[i] = np.inf
-                # Never folded: velocity 0 keeps the row at its (possibly
-                # off-map, in tests) fixed point, like StaticMobility.
-                self._exit[i] = np.inf
-            else:
+            if isinstance(model, _SegmentedMobility):
                 # Segment state is synced on first evaluation (the model
                 # has not started yet); -inf forces the initial roll.
                 self._t1[i] = -np.inf
                 self._exit[i] = -np.inf
+                continue
+            if isinstance(model, StaticMobility):
+                x, y = model.position(0.0)
+            else:
+                x = y = 0.0
+                self._custom.append(i)
+            self._ox[i] = x
+            self._oy[i] = y
+            self._vx[i] = 0.0
+            self._vy[i] = 0.0
+            self._t0[i] = 0.0
+            self._t1[i] = np.inf
+            # Never folded: velocity 0 keeps a static row at its (possibly
+            # off-map, in tests) fixed point, like StaticMobility; custom
+            # rows hold whatever their model returns.
+            self._exit[i] = np.inf
         #: Earliest segment end and earliest map exit over all rows.
         self._next_roll = float(self._t1.min()) if self.size else np.inf
         self._next_exit = float(self._exit.min()) if self.size else np.inf
@@ -212,7 +205,7 @@ class PositionStore:
         if time > self._next_roll:
             # Roll hosts whose current segment ended (or never started).
             # The model does the rolling -- same RNG stream, same draw
-            # order as the scalar kernel -- and the row is re-synced from
+            # order as a lazy query -- and the row is re-synced from
             # its state.  A row can also be stale because the model was
             # queried directly (lazy read); _roll_to is then a no-op and
             # the sync still repairs it.
@@ -225,8 +218,8 @@ class PositionStore:
                 self._sync_row(i, model)
             self._next_roll = float(self._t1.min())
             self._next_exit = float(self._exit.min())
-        # One multiply + one add per coordinate: exactly the scalar
-        # kernel's ``origin + velocity * dt`` (IEEE addition commutes
+        # One multiply + one add per coordinate: exactly the models'
+        # ``origin + velocity * dt`` (IEEE addition commutes
         # bitwise, so ``vx * dt + ox`` == ``ox + vx * dt``).
         x = self._x
         y = self._y
@@ -247,6 +240,10 @@ class PositionStore:
                 if not (0.0 <= xi <= w and 0.0 <= yi <= h):
                     x[i] = _fold(xi, w)
                     y[i] = _fold(yi, h)
+        if self._custom:
+            models = self._models
+            for i in self._custom:
+                x[i], y[i] = models[i].position(time)
         self._time = time
         return x, y
 
@@ -271,6 +268,14 @@ class PositionStore:
         self._lazy_time = time
         self.lazy_reads += 1
         return self._models[host_id].position(time)
+
+    @classmethod
+    def static(cls, points: Sequence[Tuple[float, float]]) -> "PositionStore":
+        """A store of hosts that never move, host ``i`` at ``points[i]``.
+
+        The map is a placeholder: static rows are never folded.
+        """
+        return cls([StaticMobility(p) for p in points], RectMap(1.0, 1.0))
 
     # ------------------------------------------------------------- debug
 

@@ -6,8 +6,8 @@ Two layers, matching how the paper's experiments are actually debugged:
   every simulation run collects for free.  All of them are *already
   maintained* by the hot paths (the scheduler's insertion sequence, the
   channel's :class:`~repro.phy.channel.ChannelStats`, each MAC's
-  :class:`~repro.mac.csma.MacStats`, each host's position-memo hit/miss
-  pair, the network's :class:`~repro.net.neighbors.NeighborMatrix`
+  :class:`~repro.mac.csma.MacStats`, the position store's epoch-cache
+  tallies, the network's :class:`~repro.net.neighbors.NeighborMatrix`
   update/expiry tallies); :meth:`KernelPerf.collect` merely reads them out
   once at the end of a run, so the simulation itself pays nothing beyond
   the integer bumps it was doing anyway.
@@ -27,14 +27,14 @@ scheduler reclaimed cancelled husks in bulk.
 the run ended -- including runs that quiesce early under faults -- closing
 the disposition invariant ``scheduled == processed + cancelled +
 (pending_final - cancelled_pending_final)``.  ``pos_hits``/``pos_misses``
-describe position reads: under the scalar kernel the per-host per-instant
-memo (a hit returns the tuple cached at the current timestamp, a miss
-evaluates the mobility model); under the vector kernel the
-:class:`~repro.mobility.store.PositionStore` epoch cache (a miss is a
-batched all-host evaluation or a lazy single-host read).
-``pos_batch_evals`` counts those batched evaluations (vector only), and
-``batch_scans``/``vector_candidates`` the vectorized receiver scans and
-the total in-range ids they produced.
+describe position reads through the
+:class:`~repro.mobility.store.PositionStore` epoch cache: a hit is served
+from the arrays of the current instant, a miss is a batched all-host
+evaluation or a lazy single-host read.  ``pos_batch_evals`` counts those
+batched evaluations, and ``batch_scans``/``vector_candidates`` the
+vectorized receiver scans and the total in-range ids they produced.
+``grid_rebuilds`` is always 0: the simulator has no spatial grid, and the
+counter stays only because benchmark records list it.
 ``hello_updates``/``neighbor_expirations`` count HELLO-driven neighbor
 table writes (one per receiving host per HELLO) and entries dropped by the
 lazy query-time purge; both survive host crashes.  Channel and MAC
@@ -66,8 +66,7 @@ class KernelPerf:
         # MAC (summed across hosts)
         "frames_sent", "frames_received", "frames_corrupted",
         "backoffs_started",
-        # position reads: per-host memo (scalar kernel) or PositionStore
-        # epoch cache (vector kernel)
+        # position reads: the PositionStore epoch cache
         "pos_hits", "pos_misses", "pos_batch_evals",
         # HELLO / neighbor bookkeeping
         "hello_updates", "neighbor_expirations",
@@ -101,48 +100,34 @@ class KernelPerf:
         perf.events_pending_final = scheduler.pending
         perf.cancelled_pending_final = scheduler.cancelled_pending
 
-        # Vector kernel: fold array-accumulated tallies (per-host rx
-        # airtime, MAC corrupted counts) into their scalar-form homes
-        # before reading anything.  Idempotent; no-op on scalar.
-        finalize = getattr(network.channel, "finalize_vector_stats", None)
-        if finalize is not None:
-            finalize()
-
+        # Reading the channel's stats folds its array-accumulated tallies
+        # (per-host rx airtime, MAC corrupted/received counts) into their
+        # homes, so it comes before the MAC counters below.
         ch = network.channel.stats
         perf.transmissions = ch.transmissions
         perf.deliveries = ch.deliveries
         perf.collisions = ch.collisions
         perf.deaf_misses = ch.deaf_misses
-        perf.grid_rebuilds = ch.grid_rebuilds
         perf.batch_scans = ch.batch_scans
         perf.vector_candidates = ch.vector_candidates
 
-        frames_sent = frames_received = frames_corrupted = 0
-        backoffs = pos_hits = pos_misses = 0
-        # Vector kernel: the PositionStore subsumes the per-host memo, so
-        # its epoch cache reports through the same hit/miss pair (a miss is
-        # any query that had to evaluate mobility -- a batched epoch or a
-        # lazy single-host read).  The per-host tallies accumulated below
-        # are all zero in that mode, so the two accountings never mix.
-        store = getattr(network, "position_store", None)
-        if store is not None:
-            pos_hits = store.epoch_hits
-            pos_misses = store.batch_evals + store.lazy_reads
-            perf.pos_batch_evals = store.batch_evals
+        frames_sent = frames_received = frames_corrupted = backoffs = 0
         for host in network.hosts:
             mac = host.mac.stats
             frames_sent += mac.frames_sent
             frames_received += mac.frames_received
             frames_corrupted += mac.frames_corrupted
             backoffs += mac.backoffs_started
-            pos_hits += host.pos_hits
-            pos_misses += host.pos_misses  # all zero under the vector kernel
         perf.frames_sent = frames_sent
         perf.frames_received = frames_received
         perf.frames_corrupted = frames_corrupted
         perf.backoffs_started = backoffs
-        perf.pos_hits = pos_hits
-        perf.pos_misses = pos_misses
+        # A miss is any query that had to evaluate mobility: a batched
+        # epoch or a lazy single-host read.
+        store = network.position_store
+        perf.pos_hits = store.epoch_hits
+        perf.pos_misses = store.batch_evals + store.lazy_reads
+        perf.pos_batch_evals = store.batch_evals
         matrix = network.neighbor_matrix
         perf.hello_updates = matrix.hello_updates
         perf.neighbor_expirations = matrix.expirations
@@ -162,7 +147,7 @@ class KernelPerf:
 
     @property
     def pos_hit_rate(self) -> float:
-        """Position-memo hits over all position queries (0.0 if none)."""
+        """Epoch-cache hits over all position queries (0.0 if none)."""
         queries = self.pos_hits + self.pos_misses
         return self.pos_hits / queries if queries else 0.0
 

@@ -12,6 +12,11 @@ power of a frame sent from distance ``d`` is proportional to
 ``max(d, d_min)^-alpha``.  A frame survives an overlap at a receiver iff
 its power divided by the summed power of all other overlapping frames is at
 least ``threshold`` (given in dB, typically ~10 dB).
+
+The threshold must be above 0 dB.  At or below it two overlapping frames
+could each clear the bar (at 0 dB, equal powers do), and a half-duplex
+radio would decode both at once; above it at most one frame per receiver
+survives, which the channel's reception state relies on.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ class CaptureModel:
     min_distance: float = 1.0  # clamp to avoid infinite power at d = 0
 
     def __post_init__(self) -> None:
+        if not self.threshold_db > 0:
+            raise ValueError(
+                f"threshold_db must be > 0 (one receiver decodes at most "
+                f"one frame), got {self.threshold_db}"
+            )
         if self.pathloss_exponent <= 0:
             raise ValueError(
                 f"pathloss_exponent must be > 0, got {self.pathloss_exponent}"

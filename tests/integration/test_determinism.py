@@ -23,20 +23,7 @@ import pytest
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_broadcast_batch, run_broadcast_simulation
 from repro.faults.plan import FaultPlan
-from repro.kernel import vector_supported
 from repro.net.host import HelloConfig
-
-# Both kernels must reproduce the same goldens: the numpy vector path is
-# a replay of the scalar semantics, not an approximation of them.
-KERNELS = [
-    "scalar",
-    pytest.param(
-        "vector",
-        marks=pytest.mark.skipif(
-            not vector_supported(), reason="numpy unavailable"
-        ),
-    ),
-]
 
 # Captured from the pre-optimization tree (seed 7, 12 broadcasts each).
 GOLDEN_JSON = r"""
@@ -313,16 +300,15 @@ def fingerprint(result) -> dict:
     }))
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_fingerprint_matches_golden(name, kernel):
-    result = run_broadcast_simulation(SCENARIOS[name], kernel=kernel)
+def test_fingerprint_matches_golden(name):
+    result = run_broadcast_simulation(SCENARIOS[name])
     observed = fingerprint(result)
     expected = GOLDENS[name]
     # Field-by-field so a drift names the counter that moved.
     for field_name in expected:
         assert observed[field_name] == expected[field_name], (
-            f"{name} ({kernel} kernel): {field_name} drifted: "
+            f"{name}: {field_name} drifted: "
             f"{observed[field_name]!r} != golden {expected[field_name]!r}"
         )
     assert observed == expected
@@ -338,17 +324,14 @@ def test_run_twice_is_bit_identical():
     assert first["fault_trace"] == second["fault_trace"]
 
 
-@pytest.mark.skipif(not vector_supported(), reason="numpy unavailable")
 def test_batch_runs_match_solo_fingerprints():
     """run_broadcast_batch (shared position buffers across seeds) gives
-    results bit-identical to running each seed solo, on either kernel."""
+    results bit-identical to running each seed solo."""
     config = SCENARIOS["adaptive-counter"]
     seeds = [7, 8]
-    batch = run_broadcast_batch(config, seeds, kernel="vector")
+    batch = run_broadcast_batch(config, seeds)
     for seed, result in zip(seeds, batch):
         from dataclasses import replace
 
-        solo = run_broadcast_simulation(
-            replace(config, seed=seed), kernel="scalar"
-        )
+        solo = run_broadcast_simulation(replace(config, seed=seed))
         assert fingerprint(result) == fingerprint(solo), f"seed {seed}"

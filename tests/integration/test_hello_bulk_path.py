@@ -1,6 +1,6 @@
 """The bulk HELLO path and the per-receiver path keep the same tables.
 
-Untraced vector-kernel runs hand each decoded broadcast HELLO to the
+Untraced runs hand each decoded broadcast HELLO to the
 network as one array of receivers (one column write into the neighbor
 matrix); traced runs dispatch it receiver by receiver through the MAC and
 host into the same rows.  The schemes must not be able to tell: at every
@@ -97,7 +97,7 @@ def probed_run(monkeypatch, cfg, traced):
 
     networks = []
     result = run_broadcast_simulation(
-        cfg, network_hook=networks.append, kernel="vector",
+        cfg, network_hook=networks.append,
         trace=TraceRecorder() if traced else None,
     )
     monkeypatch.undo()

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.mac.csma import CsmaCaMac
+from repro.mobility.store import PositionStore
 from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
@@ -44,7 +45,7 @@ class Upper:
 def build(positions, backoffs=None):
     """(scheduler, channel, macs, uppers) with one MAC per position."""
     scheduler = Scheduler()
-    channel = Channel(scheduler, PARAMS, lambda hid: positions[hid])
+    channel = Channel(scheduler, PARAMS, PositionStore.static(positions))
     macs, uppers = [], []
     for host_id in range(len(positions)):
         upper = Upper(scheduler)

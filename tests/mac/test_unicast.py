@@ -4,6 +4,7 @@ import pytest
 
 from repro.mac.csma import CsmaCaMac
 from repro.mac.frames import AckFrame, DataFrame
+from repro.mobility.store import PositionStore
 from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
@@ -26,7 +27,7 @@ class Upper:
 def build(positions, drop_predicate=None, retry_limit=7):
     scheduler = Scheduler()
     channel = Channel(
-        scheduler, PARAMS, lambda hid: positions[hid], drop_predicate
+        scheduler, PARAMS, PositionStore.static(positions), drop_predicate
     )
     macs, uppers = [], []
     for host_id in range(len(positions)):

@@ -12,7 +12,7 @@ from repro.mobility.models import (
     RandomWaypointMobility,
     StaticMobility,
 )
-from repro.mobility.store import PositionBuffers, PositionStore, supports_models
+from repro.mobility.store import PositionBuffers, PositionStore
 
 
 def make_models(world, n, seed=1, speed_kmh=60.0):
@@ -116,17 +116,60 @@ def test_static_rows_never_roll():
     assert store.segment_rolls == 0
 
 
-def test_supports_models_rejects_custom_models():
-    class Orbit(MobilityModel):
-        def position(self, time):
-            return (0.0, 0.0)
+class LinearMobility(MobilityModel):
+    """A custom model: constant velocity, never folded (it may leave the
+    map), position a pure function of time."""
 
+    def __init__(self, start, velocity):
+        self._start = start
+        self._velocity = velocity
+        self.calls = 0
+
+    def position(self, time):
+        self.calls += 1
+        return (
+            self._start[0] + self._velocity[0] * time,
+            self._start[1] + self._velocity[1] * time,
+        )
+
+
+def mixed_fleet(world, n, seed):
+    """Built-in rows with a LinearMobility every third row, some of them
+    heading off the map."""
+    models = make_models(world, n, seed)
+    for i in range(1, n, 3):
+        models[i] = LinearMobility((10.0 * i, 400.0), (3.5 - i, 0.25 * i))
+    return models
+
+
+def test_custom_models_ride_along_with_built_in_rows():
     world = RectMap(500.0, 500.0)
-    fleet = make_models(world, 3)
-    assert supports_models(fleet)
-    assert not supports_models(fleet + [Orbit()])
-    with pytest.raises(ValueError, match="Orbit"):
-        PositionStore(fleet + [Orbit()], world)
+    store_fleet = mixed_fleet(world, 12, seed=4)
+    scalar_fleet = mixed_fleet(world, 12, seed=4)
+    store = PositionStore(store_fleet, world)
+    custom = [i for i, m in enumerate(store_fleet) if isinstance(m, LinearMobility)]
+    rng = random.Random(31)
+    t = 0.0
+    for step in range(150):
+        t += rng.choice((0.0, 0.01, 0.7, 6.0))
+        host_id = rng.randrange(12)
+        expected = scalar_fleet[host_id].position(t)
+        if step % 3 == 0:
+            # Batched epoch: every row, custom ones included.
+            xs, ys = store.arrays_at(t)
+            for i, model in enumerate(scalar_fleet):
+                assert (float(xs[i]), float(ys[i])) == model.position(t), (i, t)
+        else:
+            # Single reads: lazy, promoted to an epoch by a second read
+            # at the same instant, or served from the epoch cache.
+            assert store.position_of(host_id, t) == expected, (host_id, t)
+            other = custom[step % len(custom)]
+            assert store.position_of(other, t) == scalar_fleet[other].position(t)
+    assert store.lazy_reads > 0 and store.batch_evals > 0
+    # Custom rows are asked at every epoch and are never rolled.
+    assert all(store_fleet[i].calls >= store.batch_evals for i in custom)
+    assert store.segment_rolls > 0
+    assert not np.isfinite(store._t1[custom]).any()
 
 
 def test_buffers_are_reused_across_stores():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mobility.store import PositionStore
 from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
@@ -34,7 +35,7 @@ def make_channel(positions, drop_predicate=None):
     scheduler = Scheduler()
     params = PhyParams(radio_radius=100.0)
     channel = Channel(
-        scheduler, params, lambda hid: positions[hid], drop_predicate
+        scheduler, params, PositionStore.static(positions), drop_predicate
     )
     radios = []
     for host_id in range(len(positions)):
@@ -251,114 +252,3 @@ def test_airtime_accumulates_even_for_corrupted_receptions():
     scheduler.run()
     # Host 1 heard both frames (garbled), paying receive energy for both.
     assert channel.stats.rx_airtime[1] == pytest.approx(0.004)
-
-
-# ------------------------------------------------- spatial grid index
-
-
-def make_grid_channel(positions, max_speed_ms=0.0, radius=100.0):
-    scheduler = Scheduler()
-    params = PhyParams(radio_radius=radius)
-    channel = Channel(
-        scheduler, params, lambda hid: positions[hid],
-        max_speed_ms=max_speed_ms,
-    )
-    radios = []
-    for host_id in range(len(positions)):
-        radio = StubRadio().bind(scheduler)
-        channel.attach(host_id, radio)
-        radios.append(radio)
-    return scheduler, channel, radios
-
-
-def test_grid_matches_full_scan_static():
-    import random
-
-    rng = random.Random(42)
-    positions = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(60)]
-    _, plain, _ = make_channel(positions)
-    _, gridded, _ = make_grid_channel(positions)
-    assert gridded.speed_bound_ms == 0.0
-    for host_id in range(len(positions)):
-        assert gridded.neighbors_in_range(host_id) == plain.neighbors_in_range(
-            host_id
-        )
-    assert gridded.stats.grid_rebuilds >= 1
-    assert plain.stats.grid_rebuilds == 0
-
-
-def test_grid_matches_full_scan_for_moving_hosts():
-    """Slop inflation keeps the grid a superset while hosts drift."""
-    import random
-
-    rng = random.Random(7)
-    base = [(rng.uniform(0, 800), rng.uniform(0, 800)) for _ in range(40)]
-    speed = 20.0  # m/s
-
-    def make_pos_fn(scheduler):
-        def pos(hid):
-            # Deterministic drift, magnitude <= speed * t.
-            t = scheduler.now
-            dx = speed * t * (1 if hid % 2 else -1)
-            dy = speed * t * (1 if hid % 3 else -1) * 0.5
-            return (base[hid][0] + dx, base[hid][1] + dy)
-
-        return pos
-
-    sched_a = Scheduler()
-    plain = Channel(sched_a, PhyParams(radio_radius=100.0),
-                    make_pos_fn(sched_a))
-    sched_b = Scheduler()
-    gridded = Channel(sched_b, PhyParams(radio_radius=100.0),
-                      make_pos_fn(sched_b), max_speed_ms=speed * 1.2)
-    for hid in range(len(base)):
-        plain.attach(hid, StubRadio().bind(sched_a))
-        gridded.attach(hid, StubRadio().bind(sched_b))
-    for t in (0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 9.0):
-        sched_a.run(until=t)
-        sched_b.run(until=t)
-        for hid in range(len(base)):
-            assert gridded.neighbors_in_range(hid) == plain.neighbors_in_range(
-                hid
-            ), (t, hid)
-    assert gridded.stats.grid_rebuilds > 1  # staleness forced rebuilds
-
-
-def test_grid_invalidated_on_attach_and_detach():
-    positions = {0: (0.0, 0.0), 1: (50.0, 0.0), 2: (60.0, 0.0)}
-    scheduler = Scheduler()
-    channel = Channel(scheduler, PhyParams(radio_radius=100.0),
-                      lambda hid: positions[hid], max_speed_ms=0.0)
-    channel.attach(0, StubRadio().bind(scheduler))
-    channel.attach(1, StubRadio().bind(scheduler))
-    assert channel.neighbors_in_range(0) == [1]
-    channel.attach(2, StubRadio().bind(scheduler))
-    assert channel.neighbors_in_range(0) == [1, 2]
-    channel.detach(1)
-    assert channel.neighbors_in_range(0) == [2]
-
-
-def test_grid_candidates_follow_attach_order_after_reattach():
-    """Re-attached hosts go to the back of the scan order, exactly like
-    the full-scan (dict insertion order) path."""
-    positions = {0: (0.0, 0.0), 1: (10.0, 0.0), 2: (20.0, 0.0)}
-    scheduler = Scheduler()
-
-    def build(max_speed_ms):
-        channel = Channel(scheduler, PhyParams(radio_radius=100.0),
-                          lambda hid: positions[hid],
-                          max_speed_ms=max_speed_ms)
-        for hid in positions:
-            channel.attach(hid, StubRadio().bind(scheduler))
-        channel.detach(1)
-        channel.attach(1, StubRadio().bind(scheduler))
-        return channel
-
-    assert build(None).neighbors_in_range(0) == [2, 1]
-    assert build(0.0).neighbors_in_range(0) == [2, 1]
-
-
-def test_speed_bound_validation():
-    scheduler, channel, _ = make_channel([(0, 0)])
-    with pytest.raises(ValueError):
-        channel.set_speed_bound(-1.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mobility.store import PositionStore
 from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
@@ -31,7 +32,7 @@ def make_channel(positions, drop_predicate=None):
     scheduler = Scheduler()
     params = PhyParams(radio_radius=100.0)
     channel = Channel(
-        scheduler, params, lambda hid: positions[hid], drop_predicate
+        scheduler, params, PositionStore.static(positions), drop_predicate
     )
     radios = []
     for host_id in range(len(positions)):

@@ -1,5 +1,6 @@
 """Channel event tracing."""
 
+from repro.mobility.store import PositionStore
 from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
@@ -13,7 +14,7 @@ def traced_channel(positions):
     tracer = RecordingTracer()
     channel = Channel(
         scheduler, PhyParams(radio_radius=100.0),
-        lambda hid: positions[hid], tracer=tracer,
+        PositionStore.static(positions), tracer=tracer,
     )
     for host_id in range(len(positions)):
         channel.attach(host_id, StubRadio().bind(scheduler))
@@ -51,7 +52,7 @@ def test_trace_times_match_events():
 def test_tracing_off_by_default_costs_nothing():
     scheduler = Scheduler()
     channel = Channel(
-        scheduler, PhyParams(radio_radius=100.0), lambda hid: (0.0, 0.0)
+        scheduler, PhyParams(radio_radius=100.0), PositionStore.static([(0.0, 0.0)])
     )
     channel.attach(0, StubRadio().bind(scheduler))
     channel.start_transmission(0, "x", 0.001)

@@ -1,21 +1,14 @@
-"""Spatial-grid staleness: the index must never miss a receiver.
+"""The receiver scan must never miss a receiver, however fast hosts move.
 
-The grid is rebuilt only when accumulated drift (``max_speed * elapsed``)
-could push a host across more than ``GRID_MAX_DRIFT_FRACTION`` of the
-radio radius; between rebuilds the scan widens its search ring by the
-drift slop instead.  At high speeds and large host counts that slop
-logic is the part most likely to rot, so this property test drives 1000
-fast hosts through many query instants and checks the grid-backed scan
-against a brute-force distance filter at every one -- on both kernels.
+The channel's scan is a distance mask over the position store's arrays
+at the query instant.  This property test drives 1000 fast hosts through
+many query instants, bunched and far apart, and checks the scan against
+a brute-force distance filter over ``Network.positions()`` at every one.
 """
 
 import random
 
-import pytest
-
-from repro.experiments.config import ScenarioConfig
 from repro.geometry.points import distance
-from repro.kernel import vector_supported
 from repro.metrics.collector import MetricsCollector
 from repro.mobility.map import RectMap
 from repro.net.network import Network
@@ -25,10 +18,10 @@ from repro.sim.engine import Scheduler
 from repro.sim.randomness import RandomStreams
 
 NUM_HOSTS = 1000
-SPEED_KMH = 300.0  # far above the paper's grid, to maximize drift slop
+SPEED_KMH = 300.0  # far above the paper's speeds
 
 
-def build_network(kernel):
+def build_network():
     scheduler = Scheduler()
     network = Network(
         scheduler=scheduler,
@@ -39,7 +32,6 @@ def build_network(kernel):
         scheme_factory=lambda: make_scheme("flooding"),
         metrics=MetricsCollector(),
         max_speed_kmh=SPEED_KMH,
-        kernel=kernel,
     )
     return scheduler, network
 
@@ -55,8 +47,8 @@ def brute_force_in_range(network, host_id):
     )
 
 
-def check_scans_at_many_instants(kernel):
-    scheduler, network = build_network(kernel)
+def check_scans_at_many_instants():
+    scheduler, network = build_network()
     rng = random.Random(23)
     failures = []
 
@@ -66,8 +58,7 @@ def check_scans_at_many_instants(kernel):
         if observed != expected:
             failures.append((scheduler.now, host_id, observed, expected))
 
-    # Irregular query times: some bunched (no rebuild between them, max
-    # slop), some far apart (forced rebuilds).
+    # Irregular query times: some bunched, some far apart.
     t = 0.0
     for _ in range(120):
         t += rng.choice((0.001, 0.01, 0.4, 3.0)) * rng.random()
@@ -81,16 +72,6 @@ def check_scans_at_many_instants(kernel):
     return network
 
 
-def test_scalar_grid_never_misses_receivers_at_high_speed():
-    network = check_scans_at_many_instants("scalar")
-    # The grid was actually exercised: some rebuilds, but not one per scan
-    # (otherwise the staleness/slop logic never ran).
-    rebuilds = network.channel.stats.grid_rebuilds
-    assert 0 < rebuilds < 120
-
-
-@pytest.mark.skipif(not vector_supported(), reason="numpy unavailable")
 def test_vector_scan_never_misses_receivers_at_high_speed():
-    network = check_scans_at_many_instants("vector")
-    assert network.kernel == "vector"
-    assert network.channel.stats.batch_scans > 0
+    network = check_scans_at_many_instants()
+    assert network.channel.stats.batch_scans >= 120

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mac.csma import CsmaCaMac
+from repro.mobility.store import PositionStore
 from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
@@ -36,7 +37,7 @@ class InvariantChannel(Channel):
 def build(num_hosts, seed):
     scheduler = Scheduler()
     positions = [(i * 40.0, 0.0) for i in range(num_hosts)]
-    channel = InvariantChannel(scheduler, PARAMS, lambda hid: positions[hid])
+    channel = InvariantChannel(scheduler, PARAMS, PositionStore.static(positions))
     macs, uppers = [], []
     for host_id in range(num_hosts):
         upper = CountingUpper()
@@ -101,7 +102,7 @@ def test_unicast_always_resolves(seed, sends, drop_rate):
 
     scheduler = Scheduler()
     positions = [(0.0, 0.0), (50.0, 0.0)]
-    channel = Channel(scheduler, PARAMS, lambda hid: positions[hid], lossy)
+    channel = Channel(scheduler, PARAMS, PositionStore.static(positions), lossy)
     upper0, upper1 = CountingUpper(), CountingUpper()
     mac0 = CsmaCaMac(0, scheduler, channel, PARAMS, random.Random(seed), upper0)
     CsmaCaMac(1, scheduler, channel, PARAMS, random.Random(seed + 1), upper1)

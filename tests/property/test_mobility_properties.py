@@ -78,7 +78,7 @@ def test_reflect_always_lands_inside(x, y, width, height):
 # ``reflect`` skips the fold for in-map points, and ``position`` inlines
 # the segment arithmetic when the query lands inside the current segment.
 # Both shortcuts must agree with the unconditional slow path -- within
-# 1e-12, though in practice they are bit-identical (the vector kernel's
+# 1e-12, though in practice they are bit-identical (the
 # PositionStore leans on exactly this equivalence).
 
 

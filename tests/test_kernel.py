@@ -1,84 +1,8 @@
-"""Kernel-mode selection: precedence, validation, overrides."""
+"""The kernel name benchmark records carry: one path, nothing to select."""
 
-import pytest
-
-from repro.kernel import (
-    KERNEL_MODES,
-    kernel_mode,
-    kernel_override,
-    resolve_kernel,
-    set_kernel_mode,
-    vector_supported,
-)
+from repro.kernel import resolve_kernel
 
 
-def test_default_mode_is_auto(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    with kernel_override("auto"):
-        assert kernel_mode() == "auto"
-
-
-def test_env_variable_sets_mode(monkeypatch):
-    import repro.kernel as kernel_module
-
-    monkeypatch.setattr(kernel_module, "_mode", None)
+def test_resolve_kernel_ignores_the_retired_environment_switch(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL", "scalar")
-    assert kernel_mode() == "scalar"
-
-
-def test_set_kernel_mode_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "scalar")
-    previous = set_kernel_mode("vector")
-    try:
-        assert kernel_mode() == "vector"
-    finally:
-        set_kernel_mode(previous)
-
-
-def test_invalid_mode_rejected_everywhere():
-    with pytest.raises(ValueError):
-        set_kernel_mode("simd")
-    with pytest.raises(ValueError):
-        resolve_kernel("simd")
-    with pytest.raises(ValueError):
-        with kernel_override("simd"):
-            pass  # pragma: no cover
-
-
-def test_override_restores_on_exit():
-    before = kernel_mode()
-    with kernel_override("scalar"):
-        assert kernel_mode() == "scalar"
-    assert kernel_mode() == before
-
-
-def test_override_restores_on_exception():
-    before = kernel_mode()
-    with pytest.raises(RuntimeError):
-        with kernel_override("scalar"):
-            raise RuntimeError("boom")
-    assert kernel_mode() == before
-
-
-def test_resolve_explicit_modes_pass_through():
-    assert resolve_kernel("scalar") == "scalar"
-    if vector_supported():
-        assert resolve_kernel("vector") == "vector"
-
-
-def test_resolve_auto_matches_numpy_availability():
-    expected = "vector" if vector_supported() else "scalar"
-    assert resolve_kernel("auto") == expected
-    with kernel_override("auto"):
-        assert resolve_kernel() == expected
-
-
-def test_resolve_argument_beats_process_mode():
-    with kernel_override("scalar"):
-        assert resolve_kernel() == "scalar"
-        if vector_supported():
-            assert resolve_kernel("vector") == "vector"
-
-
-def test_modes_tuple_is_exhaustive():
-    assert KERNEL_MODES == ("auto", "scalar", "vector")
+    assert resolve_kernel() == "vector"

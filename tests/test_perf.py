@@ -50,9 +50,9 @@ def test_every_run_carries_kernel_counters(result):
 
 
 def test_position_memo_is_effective(result):
-    """The per-instant position memo must actually absorb repeat queries
-    -- a dense delivery loop asks for the same host positions many times
-    at one timestamp."""
+    """The position store's epoch cache must actually absorb repeat
+    queries -- a dense delivery loop asks for the same host positions many
+    times at one timestamp."""
     perf = result.perf
     assert perf.pos_misses > 0
     assert perf.pos_hits > 0
@@ -63,36 +63,19 @@ def test_position_memo_is_effective(result):
 def dense_microbench_config():
     """The BENCH_kernel.json scenario at golden-suite size: flooding on
     one unit square (the configuration whose position-query pattern
-    exposed the memo pathology)."""
+    defeats a per-host memo)."""
     return ScenarioConfig(
         scheme="flooding", map_units=1, num_hosts=100, num_broadcasts=12,
         seed=7,
     )
 
 
-def test_scalar_memo_rate_is_pinned_on_dense_microbench():
-    """The scalar per-host memo absorbs only same-host same-instant
-    repeats; a dense receiver scan touches each host once per instant, so
-    nearly every query misses.  Pinned so the pathology (the motivation
-    for the vector kernel's epoch cache) stays measured, not anecdotal."""
-    perf = run_broadcast_simulation(
-        dense_microbench_config(), kernel="scalar"
-    ).perf
-    assert (perf.pos_hits, perf.pos_misses) == (1100, 41800)
-    assert perf.pos_hit_rate == pytest.approx(0.0256, abs=1e-3)
-    assert perf.pos_batch_evals == 0
-
-
 def test_vector_epoch_cache_rate_is_pinned_on_dense_microbench():
     """The PositionStore's epoch cache serves whole instants: one batched
-    evaluation per position epoch, hits for everything after it.  The same
-    scenario's hit rate goes from ~2.6% (scalar memo) to ~62%; a miss is
-    now an O(n) batch instead of one model call, so fewer total queries
-    ever reach Python."""
-    pytest.importorskip("numpy")
-    perf = run_broadcast_simulation(
-        dense_microbench_config(), kernel="vector"
-    ).perf
+    evaluation per position epoch, hits for everything after it.  A miss
+    is an O(n) batch instead of one model call, so few queries ever reach
+    Python."""
+    perf = run_broadcast_simulation(dense_microbench_config()).perf
     assert (perf.pos_hits, perf.pos_misses) == (695, 418)
     assert perf.pos_hit_rate == pytest.approx(0.6244, abs=1e-3)
     assert perf.pos_batch_evals == 418
@@ -100,6 +83,7 @@ def test_vector_epoch_cache_rate_is_pinned_on_dense_microbench():
     # batch scan per transmission (1101 in the golden fingerprint).
     assert perf.batch_scans == 1101
     assert perf.vector_candidates == 105322
+    assert perf.grid_rebuilds == 0  # no spatial grid; kept for records
 
 
 def test_counters_are_deterministic(result):
