@@ -3,9 +3,10 @@ of the bare kernel, and arming must stay within the same ceiling of the
 disarmed runner.
 
 Every telemetry site sits behind the ``reg is not None`` guard, so a
-disarmed process should pay one global read per *run* (not per event)
-plus the always-on :class:`ResourceMonitor` bracketing (two getrusage /
-gc snapshots per run).  This benchmark runs interleaved CPU-time pairs
+disarmed process should pay one global read per *run* (not per event).
+The run-cost snapshots (one getrusage call and two ``gc.get_stats()``
+walks per run) sit inside ``run_broadcast_simulation``, so both sides
+of every comparison pay them.  This benchmark runs interleaved CPU-time pairs
 of the microbench scenario and asserts on the lower of two estimators
 -- the **median per-pair ratio** and the **ratio of per-arm minima** --
 the same noise armour as ``benchmarks/test_trace_overhead.py``: a

@@ -49,7 +49,6 @@ from repro.experiments.parallel import (
 from repro.experiments.replication import MetricEstimate, aggregate
 from repro.experiments.runner import SimulationResult
 from repro.telemetry.registry import registry as telemetry_registry
-from repro.telemetry.resources import ResourceProfile
 
 __all__ = [
     "CampaignExecutor",
@@ -119,7 +118,7 @@ def campaign_results_payload(
 
     ``include_resources=True`` (the ``campaign run --resources`` flag)
     adds an aggregate ``"resources"`` block (peak RSS across runs, summed
-    GC/wall/subsystem time).  It is **opt-in precisely because** those
+    GC collections and wall time).  It is **opt-in precisely because** those
     quantities are wall-clock noise: enabling it forfeits the
     byte-identity guarantee above, which the resume tests pin.
     """
@@ -184,16 +183,15 @@ def campaign_results_payload(
         "summary": summary,
     }
     if include_resources:
-        total = ResourceProfile()
-        sampled = 0
-        for result in results:
-            # getattr: results unpickled from a pre-resources cache lack
-            # the field entirely.
-            profile = getattr(result, "resources", None) if result else None
-            if profile is not None:
-                total.merge(profile)
-                sampled += 1
-        payload["resources"] = dict(total.as_dict(), runs_sampled=sampled)
+        done = [result for result in results if result is not None]
+        payload["resources"] = {
+            "peak_rss_bytes": max(
+                (r.peak_rss_bytes for r in done), default=0
+            ),
+            "gc_collections": sum(r.gc_collections for r in done),
+            "wall_time": sum(r.wall_time for r in done),
+            "runs_sampled": len(done),
+        }
     return payload
 
 

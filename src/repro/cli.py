@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--perf", action="store_true",
         help="also print the run's kernel counters "
-        "(events, cancellations, collisions, memo hit rates, ...)",
+        "(events, cancellations, collisions, hit rates, ...) and its cost "
+        "(wall time, peak RSS, GC collections)",
     )
     run_p.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -187,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     crun_p.add_argument("--quiet", action="store_true",
                         help="no per-run progress lines")
     crun_p.add_argument("--resources", action="store_true",
-                        help="add an aggregate resource profile (peak RSS, "
-                        "GC, subsystem wall estimate) to results.json; "
+                        help="add an aggregate resources block (peak RSS, "
+                        "GC collections, wall time) to results.json; "
                         "opt-in because it makes the file depend on the "
                         "host machine, forfeiting resume byte-identity")
 
@@ -329,9 +330,16 @@ def _schemes_cmd(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_profile_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--profile", type=int, nargs="?", const=25, default=None,
+        "--profile", type=_positive_int, nargs="?", const=25, default=None,
         metavar="N",
         help="profile the command with cProfile and print the top N "
         "functions (default 25) by cumulative and internal time",
@@ -420,15 +428,19 @@ def _run_single(args: argparse.Namespace) -> int:
     if args.trace is not None:
         from repro.trace import TraceRecorder
 
-        # Fail on an unwritable destination now, not after the whole
-        # simulation has run.
+        # Fail on a bad sampling step or an unwritable destination now,
+        # not after the whole simulation has run.
+        try:
+            trace = TraceRecorder(sample_dt=args.sample_dt)
+        except ValueError as exc:
+            print(f"error: --sample-dt: {exc}", file=sys.stderr)
+            return 2
         try:
             with open(args.trace, "a"):
                 pass
         except OSError as exc:
             print(f"error: cannot write --trace file: {exc}", file=sys.stderr)
             return 2
-        trace = TraceRecorder(sample_dt=args.sample_dt)
     elif args.sample_dt is not None:
         print("error: --sample-dt requires --trace", file=sys.stderr)
         return 2
@@ -464,6 +476,9 @@ def _run_single(args: argparse.Namespace) -> int:
             print(f"  {name:<22} {value:>12,}")
         print(f"  {'pos_hit_rate':<22} {result.perf.pos_hit_rate:>12.1%}")
         print(f"  {'events_per_sec':<22} {result.events_per_sec:>12,.0f}")
+        print(f"  {'wall_time':<22} {result.wall_time:>11.3f}s")
+        print(f"  {'peak_rss_bytes':<22} {result.peak_rss_bytes:>12,}")
+        print(f"  {'gc_collections':<22} {result.gc_collections:>12,}")
     if getattr(args, "fault_windows", False) and result.fault_trace:
         print("\nfault trace:")
         for event in result.fault_trace:

@@ -31,7 +31,6 @@ from repro.metrics.collector import (
 )
 from repro.net.host import HelloConfig
 from repro.perf import KernelPerf
-from repro.telemetry.resources import ResourceProfile
 from repro.phy.channel import ChannelStats
 from repro.phy.params import PhyParams
 
@@ -121,18 +120,13 @@ def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
         "perf": {
             "wall_time": result.wall_time,
             "events_per_sec": result.events_per_sec,
+            "peak_rss_bytes": result.peak_rss_bytes,
+            "gc_collections": result.gc_collections,
             "from_cache": result.from_cache,
-            # Kernel counters (None for results predating the perf layer,
-            # e.g. old cache entries).
+            # Kernel counters (None for results loaded from a dict
+            # without them).
             "kernel": result.perf.as_dict() if result.perf else None,
         },
-        # getattr: results unpickled from a pre-resources cache lack the
-        # attribute entirely (pickle restores only the fields it saved).
-        "resources": (
-            result.resources.as_dict()
-            if getattr(result, "resources", None) is not None
-            else None
-        ),
     }
 
 
@@ -203,13 +197,6 @@ def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
         for name in KernelPerf.__slots__:
             setattr(perf, name, kernel.get(name, 0))
 
-    resources_block = data.get("resources")
-    resources = (
-        ResourceProfile.from_dict(resources_block)
-        if resources_block is not None
-        else None
-    )
-
     return SimulationResult(
         config=config,
         metrics=MetricsCollector(),
@@ -224,9 +211,10 @@ def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
         ],
         broadcasts_skipped=data.get("broadcasts_skipped", 0),
         wall_time=perf_block.get("wall_time", 0.0),
+        peak_rss_bytes=perf_block.get("peak_rss_bytes", 0),
+        gc_collections=perf_block.get("gc_collections", 0),
         from_cache=perf_block.get("from_cache", False),
         perf=perf,
-        resources=resources,
     )
 
 

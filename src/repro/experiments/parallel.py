@@ -79,8 +79,9 @@ __all__ = [
 ]
 
 #: Bump when simulation semantics change in a way that invalidates cached
-#: results (new RNG consumption order, metric definition changes, ...).
-RESULT_CACHE_VERSION = "1"
+#: results (new RNG consumption order, metric definition changes, ...) or
+#: when the pickled :class:`SimulationResult` layout changes.
+RESULT_CACHE_VERSION = "2"
 
 
 class CacheKeyError(ValueError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 from dataclasses import dataclass, field
@@ -20,12 +21,11 @@ from repro.metrics.collector import (
 from repro.mobility.map import RectMap
 from repro.mobility.store import PositionBuffers
 from repro.net.network import Network
-from repro.perf import KernelPerf
+from repro.perf import KernelPerf, peak_rss_bytes
 from repro.phy.channel import ChannelStats
 from repro.schemes import make_scheme
 from repro.sim.engine import Scheduler
 from repro.sim.randomness import RandomStreams
-from repro.telemetry.resources import ResourceMonitor, ResourceProfile
 
 __all__ = [
     "SimulationResult",
@@ -54,6 +54,13 @@ class SimulationResult:
     #: Host wall-clock seconds this run took (build + simulate + summarize).
     #: Perf metadata: excluded from value equality.
     wall_time: float = field(default=0.0, compare=False)
+    #: Process-lifetime peak RSS at the end of the run (``ru_maxrss``
+    #: never decreases, so a batch's later runs inherit earlier peaks).
+    #: Host noise: excluded from value equality.
+    peak_rss_bytes: int = field(default=0, compare=False)
+    #: Garbage collections (all generations) that ran during the run.
+    #: Host noise: excluded from value equality.
+    gc_collections: int = field(default=0, compare=False)
     #: Whether this result was served from the on-disk result cache
     #: (see :mod:`repro.experiments.parallel`) instead of simulated.
     #: Provenance metadata: excluded from value equality.
@@ -61,13 +68,8 @@ class SimulationResult:
     #: Kernel counters collected at the end of the run (see
     #: :class:`repro.perf.KernelPerf`).  Perf metadata: excluded from
     #: value equality (the counters themselves are deterministic, but a
-    #: cached result may predate the field).
+    #: result loaded from a dict may lack them).
     perf: Optional[KernelPerf] = field(default=None, compare=False)
-    #: What the run cost the process (peak RSS, GC pressure, subsystem
-    #: wall estimate; see :class:`repro.telemetry.resources.
-    #: ResourceProfile`).  Host-machine noise: excluded from equality,
-    #: and ``None`` on results unpickled from a pre-resources cache.
-    resources: Optional["ResourceProfile"] = field(default=None, compare=False)
 
     @property
     def events_per_sec(self) -> float:
@@ -142,7 +144,7 @@ def run_broadcast_simulation(
     to populate.
     """
     wall_start = time.perf_counter()
-    monitor = ResourceMonitor().start()
+    gc_start = _gc_collections()
     scheduler = Scheduler()
     streams = RandomStreams(config.seed)
     metrics = MetricsCollector(store_reachable_sets=config.store_reachable_sets)
@@ -239,9 +241,15 @@ def run_broadcast_simulation(
         fault_trace=list(injector.trace) if injector is not None else [],
         broadcasts_skipped=metrics.broadcasts_skipped,
         wall_time=wall_time,
+        peak_rss_bytes=peak_rss_bytes(),
+        gc_collections=_gc_collections() - gc_start,
         perf=perf,
-        resources=monitor.finish(wall_time, perf),
     )
+
+
+def _gc_collections() -> int:
+    """Garbage collections run so far, summed over all generations."""
+    return sum(stat["collections"] for stat in gc.get_stats())
 
 
 def run_sweep(

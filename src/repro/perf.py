@@ -1,6 +1,7 @@
-"""Always-on kernel performance counters and opt-in profiling.
+"""Always-on kernel performance counters, run cost and opt-in profiling.
 
-Two layers, matching how the paper's experiments are actually debugged:
+What each run says about itself, matching how the paper's experiments
+are actually debugged:
 
 - :class:`KernelPerf` -- near-zero-overhead per-subsystem counters that
   every simulation run collects for free.  All of them are *already
@@ -11,9 +12,14 @@ Two layers, matching how the paper's experiments are actually debugged:
   update/expiry tallies); :meth:`KernelPerf.collect` merely reads them out
   once at the end of a run, so the simulation itself pays nothing beyond
   the integer bumps it was doing anyway.
+- :func:`peak_rss_bytes` -- the process's peak resident set size, which
+  every :class:`~repro.experiments.runner.SimulationResult` records next
+  to its ``wall_time`` and ``gc_collections``.
 - :func:`profiled` / :func:`format_profile` -- an opt-in ``cProfile``
   wrapper behind the CLI's ``--profile [N]`` flag, for when the counters
-  say *what* is slow and you need to know *where*.
+  say *what* is slow and you need to know *where*.  A per-layer wall-time
+  split of the paper's workload is measured by ``perfbench/run.py
+  --trace 1``.
 
 Counter semantics
 -----------------
@@ -47,10 +53,11 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
+import sys
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator
 
-__all__ = ["KernelPerf", "profiled", "format_profile"]
+__all__ = ["KernelPerf", "peak_rss_bytes", "profiled", "format_profile"]
 
 
 class KernelPerf:
@@ -166,6 +173,23 @@ class KernelPerf:
             f"{name}={getattr(self, name)}" for name in self.__slots__
         )
         return f"KernelPerf({fields})"
+
+
+def peak_rss_bytes() -> int:
+    """The process's peak resident set size in bytes (0 if unknowable).
+
+    ``ru_maxrss`` is kibibytes on Linux and bytes on macOS; normalized
+    here so callers never see the difference.  Platforms without the
+    ``resource`` module (Windows) report 0.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platform
+        return 0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - platform-specific
+        return int(peak)
+    return int(peak) * 1024
 
 
 @contextmanager

@@ -60,8 +60,9 @@ exactly.  Consequences:
   Under capture each transmission keeps its receivers' powers, and a busy
   receiver's interference is the sum over the live transmissions reaching
   it, in start (= arrival) order;
-- tracing or a corrupted-frame-notify listener forces the per-reception
-  dispatch loop at frame end, keeping callback/record order identical.
+- a trace recorder or a corrupted-frame-notify listener forces the
+  per-reception dispatch loop at frame end, keeping callback/record order
+  identical.
 
 Carrier sensing
 ---------------
@@ -103,7 +104,6 @@ from repro.mobility.store import PositionStore
 from repro.phy.capture import CaptureModel
 from repro.phy.params import PhyParams
 from repro.sim.engine import Scheduler
-from repro.sim.trace import NullTracer, Tracer
 from repro.trace.recorder import frame_ident
 
 __all__ = ["Channel", "ChannelStats", "RadioListener"]
@@ -230,7 +230,6 @@ class Channel:
         params: PhyParams,
         position_store: PositionStore,
         drop_predicate: Optional[Callable[[int, int], bool]] = None,
-        tracer: Optional[Tracer] = None,
         capture: Optional[CaptureModel] = None,
         trace: Optional[Any] = None,
     ) -> None:
@@ -238,13 +237,8 @@ class Channel:
         self._params = params
         self._store = position_store
         self._drop_predicate = drop_predicate
-        self._tracer = tracer or NullTracer()
-        # Per-reception tracer dispatch is pure overhead with the default
-        # NullTracer; the hot paths check this flag instead of calling it.
-        self._tracing = not isinstance(self._tracer, NullTracer)
-        #: Structured :class:`repro.trace.TraceRecorder` sink (orthogonal to
-        #: the legacy per-test ``tracer`` above); ``None`` keeps the guarded
-        #: emission sites inert.
+        #: :class:`repro.trace.TraceRecorder` sink; ``None`` keeps the
+        #: guarded emission sites inert.
         self._trace = trace
         self._capture = capture
         self._radio_radius_sq = params.radio_radius * params.radio_radius
@@ -389,8 +383,6 @@ class Channel:
         stats = self._stats
         stats.aborted_frames += 1
         stats.add_tx_airtime(sender_id, -remainder)
-        if self._tracing:
-            self._tracer.emit(now, "tx-abort", sender=sender_id)
         if self._trace is not None:
             kind, src, seq, _hops = frame_ident(tx.frame)
             self._trace.records.append(
@@ -482,11 +474,6 @@ class Channel:
         stats = self._stats
         stats.transmissions += 1
         stats.add_tx_airtime(sender_id, duration)
-        if self._tracing:
-            self._tracer.emit(
-                now, "tx-start", sender=sender_id, duration=duration,
-                position=(sx, sy),
-            )
 
         # (deaf_misses / injected_drops / collisions accumulate in locals
         # through the receiver scan; slot stores are hoisted out.)
@@ -664,10 +651,9 @@ class Channel:
         if delivered.size:
             clean_sender[delivered] = -1
         frame = tx.frame
-        tracing = self._tracing
         trace = self._trace
         deliveries = 0
-        if tracing or trace is not None or self._any_notify:
+        if trace is not None or self._any_notify:
             # Ordered per-reception dispatch: corruption upcalls and trace
             # records interleave with deliveries in receiver order.
             if trace is not None:
@@ -681,22 +667,12 @@ class Channel:
                     continue
                 if clean_list[index]:
                     deliveries += 1
-                    if tracing:
-                        self._tracer.emit(
-                            self._scheduler.now, "rx",
-                            sender=sender_id, receiver=host_id,
-                        )
                     if trace is not None:
                         trace_records.append(
                             (now, "rx", sender_id, host_id, kind, src, seq)
                         )
                     listener.on_frame_received(frame, sender_id)
                 else:
-                    if tracing:
-                        self._tracer.emit(
-                            self._scheduler.now, "rx-corrupted",
-                            sender=sender_id, receiver=host_id,
-                        )
                     if trace is not None:
                         trace_records.append(
                             (now, "rx-corrupt", sender_id, host_id, kind,

@@ -18,7 +18,6 @@ Python:
 from repro.sim.engine import Event, Scheduler, SimulationError
 from repro.sim.process import Process, Signal, Timeout, WaitSignal
 from repro.sim.randomness import RandomStreams
-from repro.sim.trace import NullTracer, RecordingTracer, Tracer
 
 __all__ = [
     "Event",
@@ -29,7 +28,4 @@ __all__ = [
     "Timeout",
     "WaitSignal",
     "RandomStreams",
-    "Tracer",
-    "NullTracer",
-    "RecordingTracer",
 ]

@@ -1,8 +1,8 @@
-"""Operational telemetry: metrics registry, exposition, resources, bench gate.
+"""Service telemetry: metrics registry, exposition, bench gate.
 
-The fourth observability layer, alongside :mod:`repro.perf` (per-run
-kernel counters), :mod:`repro.trace` (per-decision provenance) and the
-benchmark documents (one-off measurements):
+The third observability layer, alongside :mod:`repro.perf` (per-run
+kernel counters and run cost) and :mod:`repro.trace` (per-decision
+provenance):
 
 - :mod:`repro.telemetry.registry` -- process-wide counters / gauges /
   histograms with labels; **zero-cost when unarmed** via the same
@@ -10,9 +10,6 @@ benchmark documents (one-off measurements):
   service and anything else that wants live metrics.
 - :mod:`repro.telemetry.expose` -- Prometheus text exposition (the
   service's ``GET /metrics``) plus a strict validator.
-- :mod:`repro.telemetry.resources` -- per-run resource profiles (peak
-  RSS, GC activity, activity-weighted subsystem wall-time) attached to
-  every :class:`~repro.experiments.runner.SimulationResult`.
 - :mod:`repro.telemetry.bench` -- ``BENCH_*.json`` trajectory tracking:
   ``repro-manet bench record`` appends to ``bench_history.jsonl``,
   ``bench check`` gates on regressions vs a rolling baseline.
@@ -48,11 +45,6 @@ from repro.telemetry.registry import (
     disarm,
     registry,
 )
-from repro.telemetry.resources import (
-    ResourceMonitor,
-    ResourceProfile,
-    peak_rss_bytes,
-)
 
 __all__ = [
     "BenchCheckReport",
@@ -64,8 +56,6 @@ __all__ = [
     "MetricFamily",
     "MetricVerdict",
     "MetricsRegistry",
-    "ResourceMonitor",
-    "ResourceProfile",
     "arm",
     "check_history",
     "counter_value",
@@ -73,7 +63,6 @@ __all__ = [
     "flatten_metrics",
     "infer_bench_name",
     "load_history",
-    "peak_rss_bytes",
     "record_entry",
     "registry",
     "render_prometheus",

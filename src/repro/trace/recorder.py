@@ -18,6 +18,7 @@ enters a record, so a traced run is deterministic: same seed, same records.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.trace.schema import SCHEMA, record_to_dict
@@ -60,8 +61,12 @@ class TraceRecorder:
     __slots__ = ("records", "sample_dt", "meta")
 
     def __init__(self, sample_dt: Optional[float] = None) -> None:
-        if sample_dt is not None and sample_dt < 0:
-            raise ValueError(f"sample_dt must be >= 0, got {sample_dt}")
+        if sample_dt is not None and not (
+            math.isfinite(sample_dt) and sample_dt >= 0
+        ):
+            raise ValueError(
+                f"sample_dt must be a finite number >= 0, got {sample_dt}"
+            )
         #: Raw record tuples ``(time, category, *values)`` in emission
         #: order (which is simulation-time order).
         self.records: List[tuple] = []
@@ -73,8 +78,7 @@ class TraceRecorder:
     # ------------------------------------------------------------ emission
 
     def emit(self, time: float, category: str, **fields: Any) -> None:
-        """Keyword-style emission (compatible with the legacy
-        :class:`repro.sim.trace.Tracer` interface).
+        """Keyword-style emission: ``emit(time, category, **fields)``.
 
         Hot paths bypass this and append tuples directly; ``emit`` is for
         cold sites and tests.  Unknown categories or fields raise.

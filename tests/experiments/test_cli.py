@@ -49,6 +49,7 @@ def test_run_command_perf_flag(capsys):
     out = capsys.readouterr().out
     assert "events_processed" in out
     assert "pos_hit_rate" in out
+    assert "peak_rss_bytes" in out and "gc_collections" in out
 
 
 def test_run_command_profile_flag(capsys):
@@ -69,6 +70,47 @@ def test_figure_command_profile_flag(capsys):
     out = capsys.readouterr().out
     assert "EAC(k)" in out  # analytic figure still renders
     assert "cumulative" in out
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if the CLI starts a single-run simulation."""
+    import repro.cli
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated despite a bad argument")
+
+    monkeypatch.setattr(repro.cli, "run_broadcast_simulation", simulate)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--scheme", "flooding", "--map", "1", "--hosts", "10",
+     "--broadcasts", "2"],
+    ["figure", "fig02"],
+])
+@pytest.mark.parametrize("top_n", ["0", "-3"])
+def test_profile_below_one_rejected_before_running(
+    capsys, no_simulation, command, top_n
+):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--profile", top_n])
+    assert exc.value.code == 2
+    assert "--profile: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sample_dt", ["nan", "inf", "-1"])
+def test_bad_sample_dt_fails_before_running(
+    capsys, no_simulation, tmp_path, sample_dt
+):
+    path = tmp_path / "t.jsonl"
+    code = main([
+        "run", "--scheme", "flooding", "--map", "1", "--hosts", "10",
+        "--broadcasts", "2", "--trace", str(path), "--sample-dt", sample_dt,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sample-dt:") and "finite" in err
+    assert not path.exists()
 
 
 def test_figure_fig01(capsys):

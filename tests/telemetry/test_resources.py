@@ -1,19 +1,18 @@
-"""Resource profiles: collection, serialization, aggregation."""
+"""Run cost (peak RSS, GC collections, wall time): collection,
+serialization in the ``perf`` block, and the campaign aggregate."""
 
 from __future__ import annotations
 
-import pytest
+import gc
+from dataclasses import replace
 
+from repro.campaigns.planner import plan_campaign
+from repro.campaigns.queue import campaign_results_payload
+from repro.campaigns.spec import spec_from_dict
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.io import result_from_dict, result_to_dict
 from repro.experiments.runner import run_broadcast_simulation
-from repro.perf import KernelPerf
-from repro.telemetry.resources import (
-    ResourceMonitor,
-    ResourceProfile,
-    peak_rss_bytes,
-    subsystem_wall_estimate,
-)
+from repro.perf import peak_rss_bytes
 
 TINY = ScenarioConfig(
     scheme="flooding", map_units=1, num_hosts=12, num_broadcasts=3, seed=1
@@ -24,91 +23,87 @@ def test_peak_rss_is_positive_on_posix():
     assert peak_rss_bytes() > 1 << 20  # any Python process exceeds 1 MiB
 
 
-def test_subsystem_estimate_partitions_wall_time():
-    perf = KernelPerf()
-    perf.events_processed = 600
-    perf.transmissions = 300
-    perf.hello_updates = 100
-    split = subsystem_wall_estimate(2.0, perf)
-    assert {k for k, v in split.items() if v > 0} == {
-        "scheduler", "channel", "hello",
-    }
-    assert sum(split.values()) == pytest.approx(2.0)
-    assert split["scheduler"] == pytest.approx(1.2)  # 600/1000 of 2s
-
-
-def test_subsystem_estimate_degenerate_cases():
-    assert subsystem_wall_estimate(1.0, None) == {}
-    assert subsystem_wall_estimate(0.0, KernelPerf()) == {}
-    assert subsystem_wall_estimate(1.0, KernelPerf()) == {}  # no activity
-
-
-def test_monitor_brackets_a_run():
-    monitor = ResourceMonitor().start()
-    junk = [list(range(100)) for _ in range(1000)]  # allocate something
-    profile = monitor.finish(0.5, None)
-    assert profile.peak_rss_bytes > 0
-    assert profile.wall_time == 0.5
-    assert profile.gc_collections >= 0
-    del junk
-
-
 def test_every_simulation_result_carries_resources():
     result = run_broadcast_simulation(TINY)
-    profile = result.resources
-    assert profile is not None
-    assert profile.peak_rss_bytes > 0
-    assert profile.wall_time == result.wall_time
-    assert sum(profile.subsystem_wall.values()) > 0
+    assert result.peak_rss_bytes > 0
+    assert result.gc_collections >= 0
+    assert result.wall_time > 0
+
+
+def test_gc_collections_brackets_the_run():
+    # The network hook runs inside the run, so its forced collections
+    # are counted (one per generation-2 collect, at least).
+    result = run_broadcast_simulation(
+        TINY, network_hook=lambda network: (gc.collect(), gc.collect())
+    )
+    assert result.gc_collections >= 2
 
 
 def test_resources_round_trip_through_json():
     result = run_broadcast_simulation(TINY)
     data = result_to_dict(result)
-    assert data["resources"]["peak_rss_bytes"] == result.resources.peak_rss_bytes
+    assert "resources" not in data
+    perf = data["perf"]
+    assert perf["peak_rss_bytes"] == result.peak_rss_bytes
+    assert perf["gc_collections"] == result.gc_collections
     loaded = result_from_dict(data)
-    assert loaded.resources is not None
-    assert loaded.resources.as_dict() == result.resources.as_dict()
+    assert loaded.peak_rss_bytes == result.peak_rss_bytes
+    assert loaded.gc_collections == result.gc_collections
+    assert loaded.wall_time == result.wall_time
+    assert loaded.perf == result.perf
+    assert result_to_dict(loaded)["perf"] == perf
 
 
-def test_pre_resources_dicts_load_with_none():
+def test_parent_format_resources_block_still_loads():
+    # Run JSON written before the fields moved into "perf" carried a
+    # top-level "resources" block; it loads, the old block is ignored.
     result = run_broadcast_simulation(TINY)
     data = result_to_dict(result)
-    data.pop("resources")  # a dict written before the field existed
-    assert result_from_dict(data).resources is None
+    del data["perf"]["peak_rss_bytes"], data["perf"]["gc_collections"]
+    data["resources"] = {
+        "peak_rss_bytes": 7, "gc_collections": 1, "wall_time": 0.25,
+    }
+    loaded = result_from_dict(data)
+    assert loaded.stats == result.stats
+    assert loaded.perf == result.perf
+    assert (loaded.peak_rss_bytes, loaded.gc_collections) == (0, 0)
 
 
 def test_resources_excluded_from_equality():
     a = run_broadcast_simulation(TINY)
-    b = run_broadcast_simulation(TINY)
-    assert a.resources is not b.resources
+    b = replace(a, peak_rss_bytes=a.peak_rss_bytes + 1,
+                gc_collections=a.gc_collections + 1)
     assert a == b  # compare=False on the noisy fields
 
 
-def test_profile_merge_maxes_peaks_and_sums_counters():
-    a = ResourceProfile(
-        peak_rss_bytes=100, gc_collections=2, gc_objects_delta=10,
-        wall_time=1.0, subsystem_wall={"scheduler": 0.6, "channel": 0.4},
-    )
-    b = ResourceProfile(
-        peak_rss_bytes=300, gc_collections=1, gc_objects_delta=-4,
-        wall_time=2.0, subsystem_wall={"scheduler": 1.5, "mac": 0.5},
-    )
-    merged = a.merge(b)
-    assert merged is a
-    assert merged.peak_rss_bytes == 300
-    assert merged.gc_collections == 3
-    assert merged.gc_objects_delta == 6
-    assert merged.wall_time == 3.0
-    assert merged.subsystem_wall == {
-        "scheduler": 2.1, "channel": 0.4, "mac": 0.5,
+def test_campaign_aggregate_maxes_peaks_and_sums_counters():
+    plan = plan_campaign(spec_from_dict({
+        "name": "resources-aggregate",
+        "grid": {"scheme": ["flooding"], "seed": [1, 2, 3]},
+        "scenario": {"map_units": 1, "num_hosts": 12, "num_broadcasts": 3},
+    }))
+    costs = [(300, 2, 1.0), (900, 0, 0.5), (100, 5, 2.0)]
+    results = [
+        replace(
+            run_broadcast_simulation(run.config),
+            peak_rss_bytes=rss, gc_collections=gcs, wall_time=wall,
+        )
+        for run, (rss, gcs, wall) in zip(plan.runs, costs)
+    ]
+    payload = campaign_results_payload(plan, results, include_resources=True)
+    assert payload["resources"] == {
+        "peak_rss_bytes": 900,
+        "gc_collections": 7,
+        "wall_time": 3.5,
+        "runs_sampled": 3,
     }
-
-
-def test_profile_dict_round_trip():
-    profile = ResourceProfile(
-        peak_rss_bytes=7, gc_collections=1, gc_objects_delta=-2,
-        wall_time=0.25, subsystem_wall={"mac": 0.25},
+    # Runs that never finished are not sampled.
+    payload = campaign_results_payload(
+        plan, [results[0], None, results[2]], include_resources=True
     )
-    assert ResourceProfile.from_dict(profile.as_dict()) == profile
-    assert ResourceProfile.from_dict({}) == ResourceProfile()
+    assert payload["resources"] == {
+        "peak_rss_bytes": 300,
+        "gc_collections": 7,
+        "wall_time": 3.0,
+        "runs_sampled": 2,
+    }

@@ -47,8 +47,7 @@ def test_all_subpackages_importable():
         "repro.campaigns.checkpoint", "repro.campaigns.queue",
         "repro.campaigns.service", "repro.campaigns.client",
         "repro.telemetry", "repro.telemetry.registry",
-        "repro.telemetry.expose", "repro.telemetry.resources",
-        "repro.telemetry.bench",
+        "repro.telemetry.expose", "repro.telemetry.bench",
     ):
         importlib.import_module(module)
 

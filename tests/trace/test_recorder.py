@@ -82,8 +82,9 @@ def test_emit_rejects_unknown_category_and_fields():
 
 
 def test_sample_dt_validation():
-    with pytest.raises(ValueError):
-        TraceRecorder(sample_dt=-1.0)
+    for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            TraceRecorder(sample_dt=bad)
     assert TraceRecorder(sample_dt=0).sample_dt is None  # 0 disables
     assert TraceRecorder(sample_dt=0.5).sample_dt == 0.5
     assert TraceRecorder().sample_dt is None
