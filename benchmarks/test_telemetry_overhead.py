@@ -1,30 +1,25 @@
-"""Telemetry cost: the disarmed runner must stay within a small factor
-of the bare kernel, and arming must stay within the same ceiling of the
-disarmed runner.
+"""Runner cost: a single-worker ``ParallelRunner`` must stay within a
+small factor of the bare kernel.
 
-Every telemetry site sits behind the ``reg is not None`` guard, so a
-disarmed process should pay one global read per *run* (not per event).
-The run-cost snapshots (one getrusage call and two ``gc.get_stats()``
-walks per run) sit inside ``run_broadcast_simulation``, so both sides
-of every comparison pay them.  This benchmark runs interleaved CPU-time pairs
-of the microbench scenario and asserts on the lower of two estimators
--- the **median per-pair ratio** and the **ratio of per-arm minima** --
-the same noise armour as ``benchmarks/test_trace_overhead.py``: a
-leaked hot-path cost moves both estimators, shared-machine spikes flake
-neither.  Attempts over the ceiling are remeasured (noise is transient;
-regressions are not).
+The runner's bookkeeping (cache lookup, perf counters, result ordering)
+is paid once per *run*, never per event.  The run-cost snapshots (one
+getrusage call and two ``gc.get_stats()`` walks per run) sit inside
+``run_broadcast_simulation``, so both sides of the comparison pay them.
+This benchmark runs interleaved CPU-time pairs of the microbench
+scenario and asserts on the lower of two estimators -- the **median
+per-pair ratio** and the **ratio of per-arm minima** -- the same noise
+armour as ``benchmarks/test_trace_overhead.py``: a leaked hot-path cost
+moves both estimators, shared-machine spikes flake neither.  Attempts
+over the ceiling are remeasured (noise is transient; regressions are
+not).
 
-Two guarded comparisons:
-
-1. bare ``run_broadcast_simulation`` vs a disarmed single-worker
-   ``ParallelRunner`` (no cache) -- the runner's bookkeeping including
-   every disarmed telemetry guard;
-2. disarmed runner vs armed runner -- the cost of live counters.
+The guarded comparison: bare ``run_broadcast_simulation`` vs a
+single-worker ``ParallelRunner`` (no cache).
 
 Env knobs:
 
-- ``REPRO_TELEMETRY_MAX_OVERHEAD`` -- allowed fractional slowdown per
-  comparison (default 0.05).  Set to 0 to record without asserting.
+- ``REPRO_TELEMETRY_MAX_OVERHEAD`` -- allowed fractional slowdown
+  (default 0.05).  Set to 0 to record without asserting.
 - ``REPRO_TELEMETRY_REPS`` -- interleaved pairs per attempt (default 5).
 - ``REPRO_TELEMETRY_ATTEMPTS`` -- measurement attempts before the
   ceiling verdict is final (default 3).
@@ -36,7 +31,6 @@ import time
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import run_broadcast_simulation
-from repro.telemetry.registry import MetricsRegistry, arm, disarm, registry
 
 MAX_OVERHEAD = float(os.environ.get("REPRO_TELEMETRY_MAX_OVERHEAD", "0.05"))
 REPS = int(os.environ.get("REPRO_TELEMETRY_REPS", "5") or "5")
@@ -99,51 +93,17 @@ def bounded(label, baseline_arm, candidate_arm, hint):
         )
 
 
-def test_disarmed_runner_overhead_is_bounded():
+def test_runner_overhead_is_bounded():
     cfg = config()
-    previous = registry()
-    try:
-        disarm()
-        runner = ParallelRunner(max_workers=1)
+    runner = ParallelRunner(max_workers=1)
 
-        run_broadcast_simulation(cfg)  # warm both paths before timing
-        runner.run_many([cfg])
+    run_broadcast_simulation(cfg)  # warm both paths before timing
+    runner.run_many([cfg])
 
-        bounded(
-            "disarmed runner",
-            lambda: run_broadcast_simulation(cfg),
-            lambda: runner.run_many([cfg]),
-            "a disarmed telemetry site is probably doing work that "
-            "belongs behind the 'reg is not None' guard",
-        )
-    finally:
-        arm(previous) if previous is not None else disarm()
-
-
-def test_armed_runner_overhead_is_bounded():
-    cfg = config()
-    previous = registry()
-    try:
-        disarmed_runner = ParallelRunner(max_workers=1)
-        armed_runner = ParallelRunner(max_workers=1)
-
-        def disarmed_arm():
-            disarm()
-            return disarmed_runner.run_many([cfg])
-
-        def armed_arm():
-            arm(MetricsRegistry())
-            return armed_runner.run_many([cfg])
-
-        disarmed_arm()  # warm both paths before timing
-        armed_arm()
-
-        bounded(
-            "armed runner",
-            disarmed_arm,
-            armed_arm,
-            "live counters must stay O(runs), never O(events); something "
-            "is updating metrics inside the simulation hot loop",
-        )
-    finally:
-        arm(previous) if previous is not None else disarm()
+    bounded(
+        "runner",
+        lambda: run_broadcast_simulation(cfg),
+        lambda: runner.run_many([cfg]),
+        "the runner is probably doing per-event work that belongs in "
+        "its once-per-run bookkeeping",
+    )

@@ -14,9 +14,8 @@ random sources toward random destinations and measures, per scheme:
   needed, reported separately so the comparison stays honest;
 - **discovery latency**: time until the destination heard the request.
 
-This example measures the RREQ *dissemination* itself; see
-``examples/aodv_routing.py`` for the full protocol (route replies, data
-forwarding, re-discovery) built on the same schemes.
+This example measures the RREQ *dissemination* itself; route replies,
+data forwarding and re-discovery are out of the simulator's scope.
 
 Run:  python examples/route_discovery.py
 """

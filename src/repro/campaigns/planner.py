@@ -10,7 +10,7 @@ simulation today and tomorrow.
 
 Each planned run also carries its :func:`config_digest`, the SHA-256
 key the :class:`~repro.experiments.parallel.ResultCache` stores results
-under -- the join key between checkpoint, cache and HTTP service.
+under -- the join key between checkpoint and cache.
 """
 
 from __future__ import annotations

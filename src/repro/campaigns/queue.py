@@ -28,7 +28,6 @@ byte-identical file to an uninterrupted one.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -48,7 +47,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.replication import MetricEstimate, aggregate
 from repro.experiments.runner import SimulationResult
-from repro.telemetry.registry import registry as telemetry_registry
 
 __all__ = [
     "CampaignExecutor",
@@ -61,10 +59,6 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 PROGRESS_NAME = "progress.jsonl"
 RESULTS_NAME = "results.json"
-
-#: Chunk latency buckets (seconds): chunks batch many runs, so they run
-#: well past the default per-request duration buckets.
-CHUNK_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
 
 
 class CampaignMismatch(RuntimeError):
@@ -117,8 +111,11 @@ def campaign_results_payload(
     ``"missing"`` rather than silently dropped.
 
     ``include_resources=True`` (the ``campaign run --resources`` flag)
-    adds an aggregate ``"resources"`` block (peak RSS across runs, summed
-    GC collections and wall time).  It is **opt-in precisely because** those
+    adds an aggregate ``"resources"`` block over the runs simulated in
+    this session (peak RSS across runs, summed GC collections and wall
+    time; ``runs_sampled`` of them), plus ``runs_cached``, the finished
+    runs served from the result cache, whose stored costs belong to the
+    session that simulated them.  It is **opt-in precisely because** those
     quantities are wall-clock noise: enabling it forfeits the
     byte-identity guarantee above, which the resume tests pin.
     """
@@ -184,13 +181,15 @@ def campaign_results_payload(
     }
     if include_resources:
         done = [result for result in results if result is not None]
+        sampled = [r for r in done if not r.from_cache]
         payload["resources"] = {
             "peak_rss_bytes": max(
-                (r.peak_rss_bytes for r in done), default=0
+                (r.peak_rss_bytes for r in sampled), default=0
             ),
-            "gc_collections": sum(r.gc_collections for r in done),
-            "wall_time": sum(r.wall_time for r in done),
-            "runs_sampled": len(done),
+            "gc_collections": sum(r.gc_collections for r in sampled),
+            "wall_time": sum(r.wall_time for r in sampled),
+            "runs_sampled": len(sampled),
+            "runs_cached": len(done) - len(sampled),
         }
     return payload
 
@@ -198,7 +197,7 @@ def campaign_results_payload(
 def campaign_status(directory: Union[str, Path]) -> Dict[str, Any]:
     """Manifest + live checkpoint progress for a campaign directory.
 
-    Used by ``repro-manet campaign status`` and the HTTP service; raises
+    Used by ``repro-manet campaign status``; raises
     ``FileNotFoundError`` when the directory holds no manifest.
     """
     directory = Path(directory)
@@ -261,13 +260,6 @@ class CampaignExecutor:
         )
 
     # ----------------------------------------------------------- helpers
-
-    @staticmethod
-    def _set_queue_depth(reg, remaining: int) -> None:
-        reg.gauge(
-            "repro_campaign_queue_depth",
-            "Planned runs not yet checkpointed in the current campaign.",
-        ).set(remaining)
 
     def _manifest(self, status: str, completed: int) -> Dict[str, Any]:
         plan = self.plan
@@ -340,23 +332,12 @@ class CampaignExecutor:
             manifest_path, self._manifest("running", len(recorded))
         )
 
-        reg = telemetry_registry()
-        if reg is not None:
-            if recorded:
-                reg.counter(
-                    "repro_campaign_resumes_total",
-                    "Campaign sessions that picked up an existing "
-                    "checkpoint rather than starting fresh.",
-                ).inc()
-            self._set_queue_depth(reg, plan.total - len(recorded))
-
         results: List[Optional[SimulationResult]] = [None] * plan.total
         interrupted = False
         with CheckpointWriter(self.directory / PROGRESS_NAME) as ckpt:
             try:
                 for lo in range(0, plan.total, self.checkpoint_every):
                     chunk = plan.runs[lo:lo + self.checkpoint_every]
-                    chunk_start = time.perf_counter()
                     try:
                         chunk_results = self.runner.run_many(
                             [r.config for r in chunk]
@@ -364,12 +345,6 @@ class CampaignExecutor:
                     except ExecutionInterrupted as exc:
                         chunk_results = exc.results
                         interrupted = True
-                    if reg is not None:
-                        reg.histogram(
-                            "repro_campaign_chunk_seconds",
-                            "Wall time per checkpoint chunk.",
-                            buckets=CHUNK_BUCKETS,
-                        ).observe(time.perf_counter() - chunk_start)
                     for planned, result in zip(chunk, chunk_results):
                         if result is None:
                             continue
@@ -384,8 +359,6 @@ class CampaignExecutor:
                     done = sum(
                         1 for r in recorded.values() if r.status == "done"
                     )
-                    if reg is not None:
-                        self._set_queue_depth(reg, plan.total - done)
                     write_manifest(
                         manifest_path,
                         self._manifest(

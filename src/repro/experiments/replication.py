@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import SimulationResult, run_broadcast_simulation
 
@@ -63,6 +61,10 @@ class MetricEstimate:
             return cls(mean=mean, half_width=0.0, confidence=confidence, samples=1)
         var = sum((v - mean) ** 2 for v in clean) / (n - 1)
         sem = math.sqrt(var / n)
+        # Imported here, not at module level: scipy.stats costs most of a
+        # second to import and only multi-sample estimates need it.
+        from scipy import stats as scipy_stats
+
         t = scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)
         return cls(
             mean=mean, half_width=t * sem, confidence=confidence, samples=n

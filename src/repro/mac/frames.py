@@ -1,46 +1,22 @@
-"""MAC-layer frame envelopes.
+"""MAC-layer frame envelope.
 
 The channel is payload-agnostic; the MAC wraps upper-layer packets in a
-:class:`DataFrame` (broadcast when ``dst is None``) and acknowledges
-unicast data with :class:`AckFrame`.  Broadcast frames are never
-acknowledged (IEEE 802.11 forbids it -- the paper's Section 2.1).
+:class:`DataFrame`.  Every frame is a broadcast, which IEEE 802.11 never
+acknowledges (the paper's Section 2.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
-__all__ = ["DataFrame", "AckFrame", "ACK_SIZE_BYTES"]
-
-#: IEEE 802.11 ACK frame body size.
-ACK_SIZE_BYTES = 14
+__all__ = ["DataFrame"]
 
 
 @dataclass(frozen=True)
 class DataFrame:
-    """A data frame on the air.  ``dst is None`` means broadcast.
-
-    ``mac_seq`` models the 802.11 Sequence Control field: retransmissions
-    of a unicast frame reuse the sequence number, letting the receiver ACK
-    but not re-deliver duplicates caused by lost ACKs.
-    """
+    """A broadcast data frame on the air."""
 
     src: int
-    dst: Optional[int]
     payload: Any
     size_bytes: int
-    mac_seq: int = 0
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst is None
-
-
-@dataclass(frozen=True)
-class AckFrame:
-    """Acknowledgement for a unicast data frame."""
-
-    src: int  # the acknowledging host (the data frame's receiver)
-    dst: int  # the data frame's sender
-    size_bytes: int = ACK_SIZE_BYTES

@@ -72,7 +72,7 @@ class MobileHost:
         "host_id", "scheduler", "channel", "params", "scheme",
         "metrics", "scheme_rng", "_hello_rng", "hello_config",
         "oracle_neighbors", "slot_time", "packet_observers",
-        "unicast_handler", "dup_cache", "neighbor_table", "mac",
+        "dup_cache", "neighbor_table", "mac",
         "hello_enabled", "_hello_started", "_hello_event",
         "_hello_muted_until", "alive", "_airtime_cache", "trace",
         "position_store",
@@ -113,11 +113,8 @@ class MobileHost:
         self.slot_time = params.slot_time
         #: Callbacks ``(packet, sender_id)`` invoked on the *first*
         #: successful reception of each broadcast packet (before the scheme
-        #: runs S1).  The routing layer hooks reverse-route learning here.
+        #: runs S1), e.g. for a protocol that learns reverse routes.
         self.packet_observers: list = []
-        #: Handler for unicast payloads addressed to this host (set by the
-        #: routing agent); unhandled unicast payloads raise.
-        self.unicast_handler = None
         self.dup_cache = DuplicateCache()
         #: This host's row of the network's neighbor matrix.
         self.neighbor_table = neighbor_table
@@ -287,9 +284,6 @@ class MobileHost:
                 for observer in self.packet_observers:
                     observer(frame, sender_id)
                 self.scheme.on_first_hear(frame, sender_id, frame.tx_position)
-            return
-        if self.unicast_handler is not None:
-            self.unicast_handler(frame, sender_id)
             return
         raise TypeError(f"host {self.host_id} received unknown frame {frame!r}")
 

@@ -121,7 +121,7 @@ class Network:
         # The channel's bulk hook: a decoded broadcast HELLO becomes one
         # column write into the neighbor matrix instead of a MAC -> host ->
         # table upcall chain per receiver.  Anything else is declined.
-        if type(frame) is not DataFrame or frame.dst is not None:
+        if type(frame) is not DataFrame:
             return False
         hello = frame.payload
         if not isinstance(hello, HelloPacket):

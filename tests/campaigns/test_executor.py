@@ -185,3 +185,51 @@ def test_payload_lists_missing_runs(tmp_path):
     payload = campaign_results_payload(plan, results)
     assert payload["missing"] == ["run-00001"]
     assert payload["completed_runs"] == 2
+
+
+# ------------------------------------------------------------- resources
+
+
+def test_campaign_resources_block_is_opt_in(tmp_path):
+    plan = plan_campaign(tiny_spec(grid={"scheme": ["flooding"],
+                                         "seed": [1, 2, 3, 4]}))
+    executor = CampaignExecutor(
+        plan, tmp_path / "camp", max_workers=1, include_resources=True
+    )
+    executor.run()
+    payload = json.loads((tmp_path / "camp" / "results.json").read_text())
+    block = payload["resources"]
+    assert block["runs_sampled"] == 4
+    assert block["peak_rss_bytes"] > 0
+    assert block["wall_time"] > 0
+
+    # default (opt-out) payload stays free of host-machine noise
+    executor2 = CampaignExecutor(plan, tmp_path / "camp2", max_workers=1)
+    executor2.run()
+    payload2 = json.loads((tmp_path / "camp2" / "results.json").read_text())
+    assert "resources" not in payload2
+
+
+def test_campaign_resources_skip_cache_served_runs(tmp_path):
+    """A rerun over a shared cache simulates nothing, so it samples no
+    cost: the stored costs belong to the session that simulated them."""
+    plan = plan_campaign(tiny_spec(grid={"scheme": ["flooding"],
+                                         "seed": [1, 2]}))
+    cache = tmp_path / "shared-cache"
+    blocks = []
+    for name in ("cold", "warm"):
+        CampaignExecutor(
+            plan, tmp_path / name, max_workers=1, cache_dir=cache,
+            include_resources=True,
+        ).run()
+        payload = json.loads((tmp_path / name / "results.json").read_text())
+        blocks.append(payload["resources"])
+    cold, warm = blocks
+    assert cold["runs_sampled"] == 2
+    assert cold["runs_cached"] == 0
+    assert cold["wall_time"] > 0
+    assert warm["runs_sampled"] == 0
+    assert warm["runs_cached"] == 2
+    assert warm["wall_time"] == 0
+    assert warm["gc_collections"] == 0
+    assert warm["peak_rss_bytes"] == 0

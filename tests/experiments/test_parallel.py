@@ -258,6 +258,31 @@ def test_runner_perf_aggregates_kernel_counters(tmp_path):
     assert exported["events_processed"] == result.events_processed
 
 
+def test_runner_perf_events_per_sec_excludes_cached_runs(tmp_path):
+    """Regression pin: cache hits must not count into events/sec.
+
+    A cached result's wall_time is the *original* run's measurement; if
+    a warm runner folded those into its throughput aggregate, events/sec
+    would report simulation speed it never achieved.
+    """
+    tiny = small_config(
+        scheme="flooding", map_units=1, num_hosts=12, num_broadcasts=3
+    )
+    cold = ParallelRunner(max_workers=1, cache_dir=tmp_path / "cache")
+    cold.run_many([tiny])
+    assert cold.perf.simulated == 1
+    assert cold.perf.events > 0
+
+    warm = ParallelRunner(max_workers=1, cache_dir=tmp_path / "cache")
+    results = warm.run_many([tiny])
+    assert results[0].from_cache
+    assert warm.perf.cache_hits == 1
+    assert warm.perf.simulated == 0
+    assert warm.perf.events == 0
+    assert warm.perf.sim_wall_time == 0.0
+    assert warm.perf.events_per_sec == 0.0
+
+
 def test_result_perf_fields_and_export():
     from repro.experiments.io import result_to_dict
 

@@ -1,9 +1,14 @@
 """Multi-seed replication and confidence intervals."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.replication import MetricEstimate, replicate
 
@@ -20,6 +25,13 @@ class TestMetricEstimate:
         assert estimate.mean == pytest.approx(0.9)
         assert estimate.half_width > 0.0
         assert estimate.low < 0.9 < estimate.high
+
+    def test_half_width_is_student_t_quantile_times_sem(self):
+        from scipy import stats
+
+        estimate = MetricEstimate.of([1, 2, 3])
+        sem = math.sqrt(1.0 / 3)  # sample variance 1, n = 3
+        assert estimate.half_width == stats.t.ppf(0.975, 2) * sem
 
     def test_wider_confidence_wider_interval(self):
         values = [0.7, 0.8, 0.9, 1.0]
@@ -78,3 +90,18 @@ class TestReplicate:
     def test_summary_string(self):
         result = replicate(self._config(), seeds=[1, 2])
         assert "flooding@3x3" in result.summary()
+
+
+def test_runner_import_leaves_scipy_stats_unloaded():
+    """scipy.stats is imported only when a multi-sample estimate needs a
+    t-quantile, so the runner's import path stays cheap."""
+    code = (
+        "import sys, repro.experiments.parallel; "
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -225,3 +225,12 @@ def test_is_transmitting_flag():
     scheduler.run()
     assert seen == [True]
     assert not macs[0].is_transmitting
+
+
+def test_raw_frames_still_pass_through():
+    """Frames injected directly at the channel (tests, legacy) bypass the
+    envelope and are delivered as-is."""
+    scheduler, channel, macs, uppers = build([(0, 0), (50, 0)])
+    channel.start_transmission(0, "raw", 0.001)
+    scheduler.run()
+    assert [f for _, f, _ in uppers[1].received] == ["raw"]

@@ -1,4 +1,4 @@
-"""Host extension hooks: packet observers and the unicast handler."""
+"""Host extension hooks: packet observers, and unknown payloads."""
 
 import pytest
 
@@ -45,34 +45,15 @@ def test_observer_runs_before_scheme_decision():
     assert order == ["observer", "scheme"]
 
 
-def test_unhandled_unicast_payload_raises():
+def test_unhandled_payload_raises():
     scheduler = Scheduler()
     network, _ = build_static_network(
         scheduler, line_positions(2, 400.0), FloodingScheme
     )
     network.start()
-    scheduler.schedule_at(
-        1.0, network.hosts[0].mac.send_unicast, "mystery", 50, 1
-    )
+    scheduler.schedule_at(1.0, network.hosts[0].mac.send, "mystery", 50)
     with pytest.raises(TypeError, match="unknown frame"):
         scheduler.run(until=3.0)
-
-
-def test_unicast_handler_receives_payloads():
-    scheduler = Scheduler()
-    network, _ = build_static_network(
-        scheduler, line_positions(2, 400.0), FloodingScheme
-    )
-    got = []
-    network.hosts[1].unicast_handler = lambda frame, sender: got.append(
-        (frame, sender)
-    )
-    network.start()
-    scheduler.schedule_at(
-        1.0, network.hosts[0].mac.send_unicast, "direct", 50, 1
-    )
-    scheduler.run(until=3.0)
-    assert got == [("direct", 0)]
 
 
 def test_multiple_observers_all_called():

@@ -78,41 +78,3 @@ def test_broadcast_traffic_invariants(seed, sends):
     # Nothing is left on the air.
     for mac in macs:
         assert not mac.is_transmitting
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    sends=st.lists(
-        st.tuples(st.floats(0.0, 0.05), st.integers(10, 200)),
-        min_size=1,
-        max_size=12,
-    ),
-    drop_rate=st.floats(0.0, 0.9),
-)
-def test_unicast_always_resolves(seed, sends, drop_rate):
-    """Every unicast send terminates in exactly one completion callback,
-    whatever the loss rate."""
-    loss_rng = random.Random(seed)
-
-    outcomes = []
-
-    def lossy(s, r):
-        return loss_rng.random() < drop_rate
-
-    scheduler = Scheduler()
-    positions = [(0.0, 0.0), (50.0, 0.0)]
-    channel = Channel(scheduler, PARAMS, PositionStore.static(positions), lossy)
-    upper0, upper1 = CountingUpper(), CountingUpper()
-    mac0 = CsmaCaMac(0, scheduler, channel, PARAMS, random.Random(seed), upper0)
-    CsmaCaMac(1, scheduler, channel, PARAMS, random.Random(seed + 1), upper1)
-
-    for time, size in sends:
-        scheduler.schedule_at(
-            time, mac0.send_unicast, "payload", size, 1, outcomes.append
-        )
-    scheduler.run()
-    assert len(outcomes) == len(sends)
-    assert mac0.stats.unicast_delivered + mac0.stats.unicast_failed == len(sends)
-    # Duplicate filtering: the upper layer saw at most one copy per send.
-    assert upper1.received <= len(sends)

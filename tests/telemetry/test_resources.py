@@ -96,6 +96,7 @@ def test_campaign_aggregate_maxes_peaks_and_sums_counters():
         "gc_collections": 7,
         "wall_time": 3.5,
         "runs_sampled": 3,
+        "runs_cached": 0,
     }
     # Runs that never finished are not sampled.
     payload = campaign_results_payload(
@@ -106,4 +107,5 @@ def test_campaign_aggregate_maxes_peaks_and_sums_counters():
         "gc_collections": 7,
         "wall_time": 3.0,
         "runs_sampled": 2,
+        "runs_cached": 0,
     }

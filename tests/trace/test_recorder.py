@@ -31,8 +31,7 @@ def test_frame_ident_broadcast_payload():
 
 def test_frame_ident_unwraps_mac_envelope():
     frame = DataFrame(
-        src=9, dst=None, payload=bcast_packet(src=1, seq=2, hops=0),
-        size_bytes=280,
+        src=9, payload=bcast_packet(src=1, seq=2, hops=0), size_bytes=280,
     )
     assert frame_ident(frame) == ("bcast", 1, 2, 0)
 
@@ -42,10 +41,10 @@ def test_frame_ident_hello():
 
 
 def test_frame_ident_unknown_payload_falls_back_to_class_name():
-    class AckFrame:
+    class BeaconFrame:
         pass
 
-    assert frame_ident(AckFrame()) == ("ackframe", -1, -1, 0)
+    assert frame_ident(BeaconFrame()) == ("beaconframe", -1, -1, 0)
 
 
 # ------------------------------------------------------------- recorder
